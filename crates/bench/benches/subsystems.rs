@@ -139,16 +139,15 @@ fn bench_bpfs_vectors(c: &mut Criterion) {
                     .collect();
                 let vectors = VectorSet::random(nl.inputs().len(), n_vectors, 7);
                 let sim = simulate(&nl, &vectors).expect("acyclic");
-                gdo::run_c2(&nl, &sim, site_cands).expect("acyclic")
+                gdo::run_c2(&nl, &sim, site_cands, 1, None).expect("acyclic")
             })
         });
     }
     group.finish();
 }
 
-/// BPFS thread scaling on a fixed round: the seed-style
-/// full-topological-walk engine as baseline, then the cone-local engine
-/// at 1/2/4/8 worker threads. All variants produce bit-identical
+/// BPFS thread scaling on a fixed round: the cone-local engine at
+/// 1/2/4/8 worker threads. All thread counts produce bit-identical
 /// survival masks (property-tested in `gdo/tests/bpfs_parallel.rs`).
 fn bench_bpfs_threads(c: &mut Criterion) {
     let nl = mapped_multiplier(8);
@@ -173,14 +172,9 @@ fn bench_bpfs_threads(c: &mut Criterion) {
     let vectors = VectorSet::random(nl.inputs().len(), 1024, 7);
     let sim = simulate(&nl, &vectors).expect("acyclic");
     let mut group = c.benchmark_group("gdo/bpfs_threads");
-    group.bench_function("full_walk_serial", |b| {
-        b.iter(|| gdo::run_c2_full_walk(&nl, &sim, site_cands.clone()).expect("acyclic"))
-    });
     for &threads in &[1usize, 2, 4, 8] {
         group.bench_function(format!("cone_local_{threads}t"), |b| {
-            b.iter(|| {
-                gdo::run_c2_threaded(&nl, &sim, site_cands.clone(), threads).expect("acyclic")
-            })
+            b.iter(|| gdo::run_c2(&nl, &sim, site_cands.clone(), threads, None).expect("acyclic"))
         });
     }
     group.finish();

@@ -90,7 +90,7 @@ fn count_candidates(nl: &Netlist, lib: &Library) -> (usize, f64, f64, f64, f64) 
         .collect();
     let vectors = sim::VectorSet::random(nl.inputs().len(), 256, 7);
     let simulation = sim::simulate(nl, &vectors).expect("acyclic");
-    let rounds = gdo::run_c2(nl, &simulation, site_cands).expect("acyclic");
+    let rounds = gdo::run_c2(nl, &simulation, site_cands, 1, None).expect("acyclic");
     for (site, round) in sites.iter().zip(&rounds) {
         let max_arrival = tg.arrival(site.source(nl)) - tg.eps();
         let none = gdo::pair_candidates(nl, &tg, &ctx, *site, &unfiltered, f64::INFINITY).len();

@@ -1,12 +1,6 @@
 //! Shared harness code for the table-regeneration binaries and the
 //! criterion micro-benchmarks.
 
-pub mod bpfs_bench;
-pub mod scale_bench;
-
-pub use bpfs_bench::{run_bpfs_bench, BenchCircuit, BpfsBenchConfig, BpfsReport};
-pub use scale_bench::{run_scale_bench, ScaleBenchConfig, ScaleReport, ScaleRow};
-
 use gdo::{optimize, GdoConfig, GdoStats, OptimizeReport};
 use library::{standard_library, Library, MapGoal, Mapper};
 use netlist::Netlist;
@@ -51,43 +45,6 @@ pub fn prepare(entry: &SuiteEntry, lib: &Library, flow: Flow) -> Netlist {
         .expect("mapping succeeds on valid circuits")
 }
 
-/// Runs GDO on one prepared circuit and returns the report row. With
-/// `verify`, the optimized netlist is SAT-checked against the input (and
-/// the harness panics loudly on any discrepancy — a soundness tripwire).
-///
-/// # Panics
-///
-/// Panics on internal optimizer errors (all suite circuits are valid) or
-/// when verification refutes equivalence.
-#[must_use]
-pub fn run_gdo(name: &str, mapped: &mut Netlist, lib: &Library, cfg: &GdoConfig) -> OptimizeReport {
-    run_gdo_verified(name, mapped, lib, cfg, false)
-}
-
-/// [`run_gdo`] with an explicit verification switch.
-///
-/// # Panics
-///
-/// See [`run_gdo`].
-#[must_use]
-pub fn run_gdo_verified(
-    name: &str,
-    mapped: &mut Netlist,
-    lib: &Library,
-    cfg: &GdoConfig,
-    verify: bool,
-) -> OptimizeReport {
-    let reference = if verify { Some(mapped.clone()) } else { None };
-    let stats = optimize(lib, cfg.clone(), mapped).expect("optimizer succeeds on mapped netlists");
-    if let Some(reference) = reference {
-        assert!(
-            sat::check_equiv(&reference, mapped).expect("same interface"),
-            "SOUNDNESS VIOLATION: {name} is not equivalent after optimization"
-        );
-    }
-    OptimizeReport::new(name, stats)
-}
-
 /// One instrumented GDO run: the table row plus the telemetry
 /// [`RunReport`](telemetry::RunReport) it was tallied from.
 #[derive(Debug, Clone)]
@@ -98,10 +55,12 @@ pub struct GdoRun {
     pub report: telemetry::RunReport,
 }
 
-/// [`run_gdo_verified`] with telemetry capture: enables the collector
-/// around the run, snapshots the aggregated [`telemetry::RunReport`],
-/// merges the optimizer summary into it, and cross-checks the candidate
-/// funnel against the optimizer's own tallies before returning.
+/// Runs GDO on one prepared circuit with telemetry capture: enables the
+/// collector around the run, snapshots the aggregated
+/// [`telemetry::RunReport`], merges the optimizer summary into it, and
+/// cross-checks the candidate funnel against the optimizer's own tallies
+/// before returning. With `verify`, the optimized netlist is SAT-checked
+/// against the input — a soundness tripwire.
 ///
 /// The telemetry collector is process-global, so concurrent instrumented
 /// runs in one process would tally into each other's reports; the bench
@@ -109,8 +68,9 @@ pub struct GdoRun {
 ///
 /// # Panics
 ///
-/// Panics as [`run_gdo`] does, and additionally when the telemetry
-/// funnel disagrees with the optimizer's returned statistics — a probe
+/// Panics on internal optimizer errors (all suite circuits are valid),
+/// when verification refutes equivalence, and when the telemetry funnel
+/// disagrees with the optimizer's returned statistics — a probe
 /// placement bug worth failing loudly on.
 #[must_use]
 pub fn run_gdo_reported(
@@ -120,10 +80,18 @@ pub fn run_gdo_reported(
     cfg: &GdoConfig,
     verify: bool,
 ) -> GdoRun {
+    let reference = if verify { Some(mapped.clone()) } else { None };
     telemetry::reset();
     telemetry::enable();
-    let row = run_gdo_verified(name, mapped, lib, cfg, verify);
+    let stats = optimize(lib, cfg.clone(), mapped).expect("optimizer succeeds on mapped netlists");
+    if let Some(reference) = reference {
+        assert!(
+            sat::check_equiv(&reference, mapped).expect("same interface"),
+            "SOUNDNESS VIOLATION: {name} is not equivalent after optimization"
+        );
+    }
     telemetry::disable();
+    let row = OptimizeReport::new(name, stats);
     let mut report = telemetry::snapshot();
     telemetry::reset();
     report.meta.insert("circuit".into(), name.into());
@@ -384,9 +352,50 @@ mod tests {
         let entry = circuit_by_name("Z5xp1").unwrap();
         let mut mapped = prepare(&entry, &lib, Flow::Area);
         assert!(mapped.stats().gates > 0);
-        let row = run_gdo("Z5xp1", &mut mapped, &lib, &GdoConfig::default());
-        assert!(row.stats.delay_after <= row.stats.delay_before);
+        let run = run_gdo_reported("Z5xp1", &mut mapped, &lib, &GdoConfig::default(), false);
+        assert!(run.row.stats.delay_after <= run.row.stats.delay_before);
         mapped.validate().unwrap();
+    }
+
+    /// Disabled probes cost one relaxed atomic load each. Their total —
+    /// the cost of one disabled call times the probes an instrumented run
+    /// fires — must stay within 2 % of the same run untraced.
+    #[test]
+    fn disabled_telemetry_costs_at_most_two_percent() {
+        let _guard = TELEMETRY_TEST_LOCK.lock().unwrap();
+        let lib = bench_library();
+        let entry = circuit_by_name("Z5xp1").unwrap();
+        let mapped = prepare(&entry, &lib, Flow::Area);
+        let run = |traced: bool| {
+            let mut nl = mapped.clone();
+            telemetry::reset();
+            if traced {
+                telemetry::enable();
+            }
+            let t = std::time::Instant::now();
+            optimize(&lib, GdoConfig::default(), &mut nl).unwrap();
+            let seconds = t.elapsed().as_secs_f64();
+            telemetry::disable();
+            seconds
+        };
+        telemetry::disable();
+        let untraced_s = run(false);
+        run(true);
+        let probe_calls = telemetry::probe_calls();
+        telemetry::reset();
+        assert!(probe_calls > 0, "the instrumented run fired no probes");
+
+        const CALLS: u32 = 1_000_000;
+        let t = std::time::Instant::now();
+        for _ in 0..CALLS {
+            telemetry::counter_add(std::hint::black_box("bench.overhead_probe"), 1);
+        }
+        let probe_s = t.elapsed().as_secs_f64() / f64::from(CALLS);
+        let overhead_pct = 100.0 * probe_s * probe_calls as f64 / untraced_s;
+        assert!(
+            overhead_pct <= 2.0,
+            "disabled telemetry costs {overhead_pct:.4} % of an untraced run"
+        );
     }
 
     #[test]

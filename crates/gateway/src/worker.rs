@@ -30,6 +30,7 @@ use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Configuration of one worker process.
@@ -118,7 +119,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
 
     let cancels: Arc<Mutex<HashMap<String, gdo::CancelHandle>>> =
         Arc::new(Mutex::new(HashMap::new()));
-    let mut jobs: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut jobs: Vec<JoinHandle<()>> = Vec::new();
     for line in lines {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
@@ -126,6 +127,10 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
         }
         match GatewayMsg::parse(line.trim()) {
             Ok(GatewayMsg::Assign { spec, input }) => {
+                let panicked = reap_finished(&mut jobs);
+                if panicked > 0 {
+                    eprintln!("gdo-worker: {panicked} finished job thread(s) had panicked");
+                }
                 let out = Arc::clone(&out);
                 let cancels = Arc::clone(&cancels);
                 let lib = opts.library.clone();
@@ -152,6 +157,16 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
     }
     let _ = beater.join();
     Ok(())
+}
+
+/// Joins the job threads that have finished and drops their handles, so
+/// a long-lived worker keeps handles (and, on glibc, stacks) only for the
+/// jobs still running. Returns how many of the joined threads panicked.
+fn reap_finished(jobs: &mut Vec<JoinHandle<()>>) -> usize {
+    jobs.extract_if(.., |job| job.is_finished())
+        .map(JoinHandle::join)
+        .filter(Result::is_err)
+        .count()
 }
 
 /// Runs one assigned job and sends its single `result` line.
@@ -354,4 +369,48 @@ fn send(out: &Output, line: &str) {
     let mut w = lock(out);
     let _ = writeln!(w, "{line}");
     let _ = w.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Spins until `job` has returned; the job itself finishes only when
+    /// the test signals it.
+    fn wait_finished(job: &JoinHandle<()>) {
+        while !job.is_finished() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn reaping_joins_finished_threads_and_keeps_running_ones() {
+        // Each job blocks until its go signal; `true` makes it panic.
+        let mut go = Vec::new();
+        let mut jobs = Vec::new();
+        for _ in 0..3 {
+            let (tx, rx) = mpsc::channel::<bool>();
+            go.push(tx);
+            jobs.push(std::thread::spawn(move || {
+                if rx.recv().unwrap_or(false) {
+                    panic!("injected job-thread panic");
+                }
+            }));
+        }
+        assert_eq!(reap_finished(&mut jobs), 0);
+        assert_eq!(jobs.len(), 3, "no job was signalled yet");
+
+        go[0].send(false).unwrap();
+        go[1].send(true).unwrap();
+        wait_finished(&jobs[0]);
+        wait_finished(&jobs[1]);
+        assert_eq!(reap_finished(&mut jobs), 1, "one joined thread panicked");
+        assert_eq!(jobs.len(), 1, "only the unsignalled job is left");
+
+        go[2].send(false).unwrap();
+        wait_finished(&jobs[0]);
+        assert_eq!(reap_finished(&mut jobs), 0);
+        assert!(jobs.is_empty());
+    }
 }

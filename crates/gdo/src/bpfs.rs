@@ -88,7 +88,7 @@ fn record_obs_stats(stats: ObsStats) {
 /// The per-site C1/C2 worker: computes one [`SiteRound`] from the site's
 /// observability and the simulation words. Sites are independent — no
 /// worker reads another site's state — which is what makes the fan-out
-/// in [`run_c2_threaded`] safe and bit-exact.
+/// in [`run_c2`] safe and bit-exact.
 fn compute_site_round(
     nl: &Netlist,
     sim: &SimResult,
@@ -159,57 +159,28 @@ fn compute_site_round(
     }
 }
 
-/// Runs the C1/C2 invalidation for every site against one simulation.
+/// Runs the C1/C2 invalidation for every site against one simulation,
+/// fanned out over `threads` workers (`0` = one per available core).
 ///
-/// `sites` pairs each site with its pre-filtered `b`-candidates.
-/// Equivalent to [`run_c2_threaded`] with one thread.
+/// `sites` pairs each site with its pre-filtered `b`-candidates. Each
+/// worker owns an [`ObservabilityEngine`] over a shared [`ObsPlan`] (the
+/// netlist is levelized once, not per worker) and claims sites from an
+/// atomic cursor. Results are merged back in site order, so the output
+/// is **bit-identical for every thread count and schedule**: per-site
+/// computation touches no cross-site state, and ordering is restored by
+/// original index.
+///
+/// Under a `budget`, workers check it before claiming each site and stop
+/// claiming once it is exhausted, so the fan-out unwinds within one
+/// site's work. Sites left unclaimed are dropped from the result — sound,
+/// because a [`SiteRound`] only *proposes* candidates that the prove
+/// stage would have to validate anyway. With `budget: None` (or a budget
+/// that never trips) every site is surveyed.
 ///
 /// # Errors
 ///
 /// [`NetlistError::CycleDetected`] if `nl` is cyclic.
 pub fn run_c2(
-    nl: &Netlist,
-    sim: &SimResult,
-    sites: Vec<(Site, Vec<SignalId>)>,
-) -> Result<Vec<SiteRound>, NetlistError> {
-    run_c2_threaded(nl, sim, sites, 1)
-}
-
-/// [`run_c2`] fanned out over a thread pool.
-///
-/// Each worker owns an [`ObservabilityEngine`] over a shared [`ObsPlan`]
-/// (the netlist is levelized once, not per worker) and claims sites from
-/// an atomic cursor. Results are merged back in site order, so the
-/// output is **bit-identical to the serial run regardless of thread
-/// count or scheduling**: per-site computation touches no cross-site
-/// state, and ordering is restored by original index.
-///
-/// `threads == 0` uses one worker per available core.
-///
-/// # Errors
-///
-/// [`NetlistError::CycleDetected`] if `nl` is cyclic.
-pub fn run_c2_threaded(
-    nl: &Netlist,
-    sim: &SimResult,
-    sites: Vec<(Site, Vec<SignalId>)>,
-    threads: usize,
-) -> Result<Vec<SiteRound>, NetlistError> {
-    run_c2_budgeted(nl, sim, sites, threads, None)
-}
-
-/// [`run_c2_threaded`] under an optional run [`Budget`]: workers check
-/// the budget before claiming each site and stop claiming once it is
-/// exhausted, so the fan-out unwinds within one site's work. Sites left
-/// unclaimed are dropped from the result — sound, because a
-/// [`SiteRound`] only *proposes* candidates that the prove stage would
-/// have to validate anyway. With `budget: None` (or a budget that never
-/// trips) the result is bit-identical to [`run_c2_threaded`].
-///
-/// # Errors
-///
-/// [`NetlistError::CycleDetected`] if `nl` is cyclic.
-pub fn run_c2_budgeted(
     nl: &Netlist,
     sim: &SimResult,
     sites: Vec<(Site, Vec<SignalId>)>,
@@ -277,29 +248,6 @@ pub fn run_c2_budgeted(
     Ok(merged.into_iter().flatten().collect())
 }
 
-/// [`run_c2`] on a full-topological-walk observability engine: every
-/// query resimulates the whole netlist instead of the seed's fanout
-/// cone. This is the pre-levelization behaviour, kept as the baseline
-/// the benchmarks measure the cone-local engine against. Results are
-/// bit-identical to [`run_c2`].
-///
-/// # Errors
-///
-/// [`NetlistError::CycleDetected`] if `nl` is cyclic.
-pub fn run_c2_full_walk(
-    nl: &Netlist,
-    sim: &SimResult,
-    sites: Vec<(Site, Vec<SignalId>)>,
-) -> Result<Vec<SiteRound>, NetlistError> {
-    let mut engine = ObservabilityEngine::new_full_walk(nl, sim)?;
-    let rounds: Vec<SiteRound> = sites
-        .into_iter()
-        .map(|(site, bs)| compute_site_round(nl, sim, &mut engine, site, &bs))
-        .collect();
-    record_obs_stats(engine.stats());
-    Ok(rounds)
-}
-
 /// The per-site C3 worker: kills clause bits of `triples` against the
 /// observability cached in `round`, returning only survivors. Reads the
 /// round immutably so many sites can be processed concurrently.
@@ -340,42 +288,23 @@ fn invalidate_triples(
     triples
 }
 
-/// Runs the C3 invalidation for a site's triple candidates, using the
-/// observability cached by [`run_c2`]. Dead triples are removed.
-pub fn run_c3(nl: &Netlist, sim: &SimResult, round: &mut SiteRound, triples: Vec<TripleEntry>) {
-    round.triples = invalidate_triples(nl, sim, round, triples);
-}
-
-/// [`run_c3`] for many sites at once, fanned out over a thread pool.
+/// Runs the C3 invalidation for many sites at once, using the
+/// observability cached by [`run_c2`], fanned out over `threads` workers
+/// (`0` = one per available core). Dead triples are removed.
 ///
 /// `requests[i]` holds the triple candidates of `rounds[i]`. Workers
 /// read rounds immutably and claim (round, request) pairs from an atomic
 /// cursor; surviving triples are written back by index, so the result is
-/// bit-identical to calling [`run_c3`] on each round in order.
+/// bit-identical for every thread count.
+///
+/// Under a `budget`, workers stop claiming work once it is exhausted;
+/// rounds whose requests were never processed keep an empty `triples`
+/// list (they simply propose no `OS3`/`IS3` candidates).
 ///
 /// # Panics
 ///
 /// Panics if `requests.len() != rounds.len()`.
-pub fn run_c3_threaded(
-    nl: &Netlist,
-    sim: &SimResult,
-    rounds: &mut [SiteRound],
-    requests: Vec<Vec<TripleEntry>>,
-    threads: usize,
-) {
-    run_c3_budgeted(nl, sim, rounds, requests, threads, None);
-}
-
-/// [`run_c3_threaded`] under an optional run [`Budget`]: workers stop
-/// claiming work once the budget is exhausted; rounds whose requests
-/// were never processed keep an empty `triples` list (they simply
-/// propose no `OS3`/`IS3` candidates). With `budget: None` the result
-/// is bit-identical to [`run_c3_threaded`].
-///
-/// # Panics
-///
-/// Panics if `requests.len() != rounds.len()`.
-pub fn run_c3_budgeted(
+pub fn run_c3(
     nl: &Netlist,
     sim: &SimResult,
     rounds: &mut [SiteRound],
@@ -464,7 +393,7 @@ mod tests {
     fn exhaustive_round(nl: &Netlist, site: Site, bs: Vec<SignalId>) -> (SiteRound, SimResult) {
         let vectors = VectorSet::exhaustive(nl.inputs().len());
         let sim = simulate(nl, &vectors).unwrap();
-        let mut rounds = run_c2(nl, &sim, vec![(site, bs)]).unwrap();
+        let mut rounds = run_c2(nl, &sim, vec![(site, bs)], 1, None).unwrap();
         (rounds.pop().unwrap(), sim)
     }
 
@@ -533,8 +462,8 @@ mod tests {
         nl.add_output("y", y);
         let vectors = VectorSet::exhaustive(3);
         let sim = simulate(&nl, &vectors).unwrap();
-        let mut rounds = run_c2(&nl, &sim, vec![(Site::Stem(s), vec![t, c, a, b])]).unwrap();
-        let mut round = rounds.pop().unwrap();
+        let mut rounds =
+            run_c2(&nl, &sim, vec![(Site::Stem(s), vec![t, c, a, b])], 1, None).unwrap();
         // One probe per clause phase of (s, t, c): each survives iff its
         // single C3 clause is valid.
         let probes: Vec<TripleEntry> = (0..8u8)
@@ -546,7 +475,8 @@ mod tests {
                 alive: 1 << bit,
             })
             .collect();
-        run_c3(&nl, &sim, &mut round, probes);
+        run_c3(&nl, &sim, &mut rounds, vec![probes], 1, None);
+        let round = rounds.pop().unwrap();
         let mut prover = sat::ClauseProver::new(&nl, s.into()).unwrap();
         for bit in 0..8u8 {
             let pa = bit & 1 != 0;
@@ -577,6 +507,8 @@ mod tests {
             &nl,
             &sim_sparse,
             vec![(Site::Stem(g2), vec![g1, ins[3], ins[4]])],
+            1,
+            None,
         )
         .unwrap();
 
@@ -586,6 +518,8 @@ mod tests {
             &nl,
             &sim_full,
             vec![(Site::Stem(g2), vec![g1, ins[3], ins[4]])],
+            1,
+            None,
         )
         .unwrap();
 

@@ -74,7 +74,7 @@ impl Default for CandidateConfig {
 ///
 /// let vectors = sim::VectorSet::exhaustive(2);
 /// let sim = sim::simulate(&nl, &vectors)?;
-/// let rounds = run_c2(&nl, &sim, vec![(site, cands)])?;
+/// let rounds = run_c2(&nl, &sim, vec![(site, cands)], 1, None)?;
 /// // t is stuck-at-0 redundant here: the C1 clause (!O_t + !t) survives.
 /// assert_eq!(rounds[0].c1_alive & 0b01, 0b01);
 /// # Ok(())

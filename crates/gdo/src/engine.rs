@@ -137,8 +137,8 @@ pub struct EngineCounters {
 }
 
 /// One fully-specified optimization: what the [`Pipeline`] runs. This is
-/// the single request-shaped entry point all frontends build — the
-/// deprecated `optimize*` trio on [`crate::Optimizer`] delegates here.
+/// the single request-shaped entry point all frontends build; the
+/// one-call [`crate::optimize`] builds a default request around a config.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeRequest {
     /// Engine-shared configuration (vectors, seed, prover, caps,

@@ -24,7 +24,7 @@
 //!    incremental SAT check on a faulty-cone construction
 //!    ([`sat::ClauseProver`]) or by BDD/SAT equivalence of the modified
 //!    circuit ([`ProverKind`]).
-//! 4. **Optimize.** A two-phase loop ([`Optimizer`]) first shortens
+//! 4. **Optimize.** A two-phase loop ([`GdoEngine`]) first shortens
 //!    critical paths (ranking candidates by NCP, then local delay save),
 //!    then recovers area without touching the critical path, alternating
 //!    until neither phase finds a substitution.
@@ -78,10 +78,7 @@ mod site;
 pub mod snapshot;
 mod transform;
 
-pub use bpfs::{
-    resolve_threads, run_c2, run_c2_budgeted, run_c2_full_walk, run_c2_threaded, run_c3,
-    run_c3_budgeted, run_c3_threaded, PairEntry, SiteRound, TripleEntry,
-};
+pub use bpfs::{resolve_threads, run_c2, run_c3, PairEntry, SiteRound, TripleEntry};
 pub use budget::{Budget, CancelHandle, Phase, VerifyPolicy};
 pub use candidates::{
     pair_candidates, pair_candidates_counted, CandidateConfig, CandidateContext, CandidateCounts,
@@ -89,9 +86,9 @@ pub use candidates::{
 pub use engine::{Engine, EngineCounters, EngineId, OptimizeContext, OptimizeRequest, Pipeline};
 pub use error::GdoError;
 pub use optimizer::{
-    optimize, GdoConfig, GdoConfigBuilder, GdoEngine, GdoStats, Optimizer, RegionConstraints,
+    optimize, GdoConfig, GdoConfigBuilder, GdoEngine, GdoStats, RegionConstraints,
 };
-pub use prove::{prove_rewrite, prove_rewrite_budgeted, prove_rewrite_with_budget, ProverKind};
+pub use prove::{prove_rewrite, ProverKind};
 pub use pvcc::{
     and_or_triple_requests, const_candidates, site_arrival, site_ncp, site_required,
     sub2_candidates, sub3_candidates, xor_triple_requests, Pvcc, RankKey,

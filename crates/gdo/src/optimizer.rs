@@ -4,27 +4,24 @@
 //! non-critical logic without creating new critical paths, returning to
 //! the delay phase after every batch of area substitutions.
 
-use crate::bpfs::{run_c2_budgeted, run_c2_full_walk, run_c3_budgeted, SiteRound, TripleEntry};
+use crate::bpfs::{run_c2, run_c3, SiteRound, TripleEntry};
 use crate::budget::{Budget, Phase, VerifyPolicy};
 use crate::candidates::{pair_candidates_counted, CandidateConfig, CandidateContext};
 use crate::engine::{
     rewrite_class, Engine, EngineCounters, EngineId, OptimizeContext, OptimizeRequest, Pipeline,
-    SafetyNet,
 };
-use crate::prove::prove_rewrite_with_budget;
+use crate::prove::prove_rewrite;
 use crate::pvcc::{
     and_or_triple_requests, const_candidates, site_arrival, site_ncp, site_required,
     sub2_candidates, sub3_candidates, xor_triple_requests, Pvcc, RankKey,
 };
-use crate::snapshot::Checkpointer;
 use crate::transform::{apply_rewrite, estimate_area_delta, estimate_arrival};
 use crate::{GdoError, ProverKind, Rewrite, RewriteKind, Site};
 use library::Library;
 use netlist::{Branch, Netlist, SignalId};
 use sim::{simulate, VectorSet};
-use std::collections::HashSet;
 use std::time::Duration;
-use timing::{CriticalPaths, DelayModel, LibDelay, TimingGraph};
+use timing::{CriticalPaths, DelayModel};
 
 /// Configuration of the optimizer. [`GdoConfig::default`] reproduces the
 /// paper's setup; the ablation benchmarks toggle individual features.
@@ -72,11 +69,6 @@ pub struct GdoConfig {
     /// results are merged in site order, so any thread count produces
     /// bit-identical survival masks.
     pub threads: usize,
-    /// Re-enables the original evaluation paths — full-topological-walk
-    /// observability (serial, ignoring [`threads`](Self::threads)) and
-    /// clone-plus-full-STA trial evaluation per area candidate — as a
-    /// benchmark baseline. Produces the same results, never faster.
-    pub legacy_eval: bool,
     /// Wall-clock budget for the whole run: past the deadline every
     /// pipeline stage unwinds at its next cooperative check and the
     /// optimizer returns the best netlist accepted so far (`None` =
@@ -112,7 +104,6 @@ impl Default for GdoConfig {
             max_delay_rounds: 40,
             max_outer_rounds: 25,
             threads: 0,
-            legacy_eval: false,
             deadline: None,
             work_limit: None,
             verify_policy: VerifyPolicy::Off,
@@ -199,8 +190,6 @@ impl GdoConfigBuilder {
         max_outer_rounds: usize,
         /// Worker threads for the BPFS fan-out (`0` = one per core).
         threads: usize,
-        /// Re-enable the original full-recompute evaluation paths.
-        legacy_eval: bool,
         /// Checkpointed verify-with-rollback policy.
         verify_policy: VerifyPolicy,
     }
@@ -401,695 +390,15 @@ pub struct RegionConstraints {
     pub po_required: Vec<f64>,
 }
 
-/// The GDO optimizer. Construct with a library and a [`GdoConfig`], then
-/// call [`optimize`](Self::optimize) on mapped netlists.
+/// The paper's two-phase clause-analysis optimizer as a pipeline
+/// [`Engine`]: alternates the delay-reduction and area-recovery phases
+/// until neither finds a substitution (or the outer-round cap / budget
+/// cuts the run short).
 ///
 /// The optimizer never prints. Progress and statistics are reported
 /// through the [`telemetry`] crate: enable it (e.g. via `gdo-opt -v` or
 /// `--trace-out`) to observe per-round `gdo.*` events, phase spans, and
 /// the candidate funnel counters (`gdo.funnel.{c2,c3,const}.*`).
-#[derive(Debug, Clone)]
-pub struct Optimizer<'a> {
-    lib: &'a Library,
-    cfg: GdoConfig,
-}
-
-impl<'a> Optimizer<'a> {
-    /// Creates an optimizer over `lib`.
-    #[must_use]
-    pub fn new(lib: &'a Library, cfg: GdoConfig) -> Self {
-        Optimizer { lib, cfg }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &GdoConfig {
-        &self.cfg
-    }
-
-    /// The configured C2 engine: threaded cone-local by default, the
-    /// serial full-walk baseline under [`GdoConfig::legacy_eval`].
-    fn run_c2(
-        &self,
-        nl: &Netlist,
-        sim: &sim::SimResult,
-        sites: Vec<(Site, Vec<SignalId>)>,
-        budget: &Budget,
-    ) -> Result<Vec<SiteRound>, netlist::NetlistError> {
-        if self.cfg.legacy_eval {
-            run_c2_full_walk(nl, sim, sites)
-        } else {
-            run_c2_budgeted(nl, sim, sites, self.cfg.threads, Some(budget))
-        }
-    }
-
-    /// Optimizes `nl` in place and reports what happened.
-    ///
-    /// # Errors
-    ///
-    /// [`GdoError`] on structural failures (cyclic input netlist, or a
-    /// library with no cells for inserted gates).
-    #[deprecated(
-        since = "0.8.0",
-        note = "build an OptimizeRequest and call Pipeline::run"
-    )]
-    pub fn optimize(&self, nl: &mut Netlist) -> Result<GdoStats, GdoError> {
-        let budget = Budget::new(self.cfg.deadline, self.cfg.work_limit);
-        Pipeline::new(self.lib).run(&OptimizeRequest::new(self.cfg.clone()), nl, &budget)
-    }
-
-    /// Like [`optimize`](Self::optimize), but under a caller-supplied
-    /// [`Budget`] (the config's own `deadline`/`work_limit` are ignored
-    /// in favor of `budget`). Grab [`Budget::cancel_handle`] before the
-    /// call to cancel the run from another thread; on exhaustion every
-    /// stage unwinds at its next cooperative check and the best netlist
-    /// accepted so far is kept, with [`GdoStats::budget_exhausted`] set.
-    ///
-    /// # Errors
-    ///
-    /// [`GdoError`] on structural failures (cyclic input netlist, or a
-    /// library with no cells for inserted gates).
-    #[deprecated(
-        since = "0.8.0",
-        note = "build an OptimizeRequest and call Pipeline::run"
-    )]
-    pub fn optimize_with_budget(
-        &self,
-        nl: &mut Netlist,
-        budget: &Budget,
-    ) -> Result<GdoStats, GdoError> {
-        Pipeline::new(self.lib).run(&OptimizeRequest::new(self.cfg.clone()), nl, budget)
-    }
-
-    /// Like [`optimize_with_budget`](Self::optimize_with_budget), but
-    /// timed against frozen region boundaries: primary inputs arrive at
-    /// `rc.input_arrivals` and each primary output must settle by its
-    /// `rc.po_required` entry (both in pin order). This is how a
-    /// partition driver optimizes an extracted sub-netlist without
-    /// letting a region rewrite steal slack the surrounding logic needs.
-    ///
-    /// # Errors
-    ///
-    /// [`GdoError`] on structural failures, as for the unconstrained
-    /// entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the constraint vectors do not match the netlist's pin
-    /// counts or contain non-finite values.
-    #[deprecated(
-        since = "0.8.0",
-        note = "build an OptimizeRequest with a region and call Pipeline::run"
-    )]
-    pub fn optimize_region_with_budget(
-        &self,
-        nl: &mut Netlist,
-        budget: &Budget,
-        rc: &RegionConstraints,
-    ) -> Result<GdoStats, GdoError> {
-        let req = OptimizeRequest::new(self.cfg.clone()).region(rc.clone());
-        Pipeline::new(self.lib).run(&req, nl, budget)
-    }
-
-    /// Delay reduction phase: C2 rounds until dry, then C3 rounds, until
-    /// neither improves anything.
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
-    fn delay_phase(
-        &self,
-        nl: &mut Netlist,
-        tg: &mut TimingGraph,
-        model: &LibDelay<'_>,
-        enable_xor: bool,
-        stats: &mut GdoStats,
-        seed: &mut u64,
-        refuted: &mut HashSet<Rewrite>,
-        budget: &Budget,
-        net: &mut SafetyNet,
-        ckpt: &mut Checkpointer,
-    ) -> Result<usize, GdoError> {
-        let mut total = 0;
-        for _ in 0..self.cfg.max_delay_rounds {
-            if budget.is_exhausted() {
-                break;
-            }
-            let n2 = self.delay_round(
-                nl, tg, model, false, enable_xor, stats, seed, refuted, budget, net, ckpt,
-            )?;
-            total += n2;
-            if n2 > 0 {
-                continue;
-            }
-            if self.cfg.enable_sub3 && !budget.is_exhausted() {
-                let n3 = self.delay_round(
-                    nl, tg, model, true, enable_xor, stats, seed, refuted, budget, net, ckpt,
-                )?;
-                total += n3;
-                if n3 > 0 {
-                    continue;
-                }
-            }
-            break;
-        }
-        Ok(total)
-    }
-
-    /// One delay-phase simulate/rank/prove/apply round. `use_c3` selects
-    /// `OS3`/`IS3` candidates (run after C2 candidates dry up, as in the
-    /// paper, since C2 simulation is cheaper).
-    #[allow(clippy::too_many_arguments)]
-    fn delay_round(
-        &self,
-        nl: &mut Netlist,
-        tg: &mut TimingGraph,
-        model: &LibDelay<'_>,
-        use_c3: bool,
-        enable_xor: bool,
-        stats: &mut GdoStats,
-        seed: &mut u64,
-        refuted: &mut HashSet<Rewrite>,
-        budget: &Budget,
-        net: &mut SafetyNet,
-        ckpt: &mut Checkpointer,
-    ) -> Result<usize, GdoError> {
-        if nl.outputs().is_empty() || nl.inputs().is_empty() {
-            return Ok(0);
-        }
-        if tg.circuit_delay() <= 0.0 {
-            return Ok(0);
-        }
-        let cp = CriticalPaths::count(nl, tg)?;
-        let ctx = CandidateContext::build(nl)?;
-
-        // a-signal sites: critical gate stems and critical in-edges.
-        let mut sites: Vec<Site> = Vec::new();
-        for g in tg.critical_gates(nl) {
-            if nl.fanout_count(g) > 0 {
-                sites.push(Site::Stem(g));
-            }
-            for pin in 0..nl.fanins(g).len() {
-                if tg.is_critical_edge(nl, g, pin)
-                    && !nl.kind(nl.fanins(g)[pin]).is_source()
-                    && nl.fanout_count(nl.fanins(g)[pin]) > 1
-                {
-                    sites.push(Site::Branch(Branch {
-                        cell: g,
-                        pin: pin as u32,
-                    }));
-                }
-            }
-        }
-        sites.sort_by(|&x, &y| site_ncp(nl, y, &cp).total_cmp(&site_ncp(nl, x, &cp)));
-        sites.truncate(self.cfg.max_sites_per_round);
-
-        let t0 = std::time::Instant::now();
-        let site_cands: Vec<(Site, Vec<SignalId>)> = {
-            let _span = telemetry::span("gdo.round.candidates");
-            let mut enumerated = 0u64;
-            let mut kept = 0u64;
-            let sc: Vec<(Site, Vec<SignalId>)> = sites
-                .into_iter()
-                .map(|site| {
-                    let max_arrival = site_arrival(nl, site, tg) - tg.eps();
-                    let (bs, counts) = pair_candidates_counted(
-                        nl,
-                        tg,
-                        &ctx,
-                        site,
-                        &self.cfg.candidates,
-                        max_arrival,
-                    );
-                    enumerated += counts.considered;
-                    kept += counts.kept;
-                    (site, bs)
-                })
-                .collect();
-            telemetry::counter_add("gdo.funnel.c2.enumerated", enumerated);
-            telemetry::counter_add("gdo.funnel.c2.filtered", kept);
-            sc
-        };
-        let t_cand = t0.elapsed();
-
-        *seed += 1;
-        let t0 = std::time::Instant::now();
-        let bpfs_span = telemetry::span("gdo.round.bpfs");
-        let vectors = VectorSet::random(nl.inputs().len(), self.cfg.vectors, *seed);
-        let sim = simulate(nl, &vectors)?;
-        let mut rounds = self.run_c2(nl, &sim, site_cands, budget)?;
-        if use_c3 {
-            // Enumerate every site's triple requests first so the C3
-            // invalidation fans out across all sites at once.
-            let requests: Vec<Vec<TripleEntry>> = rounds
-                .iter()
-                .map(|round| {
-                    let mut triples =
-                        and_or_triple_requests(round, self.cfg.candidates.max_triples_per_site);
-                    if enable_xor && self.cfg.xor_direct {
-                        triples.extend(xor_triple_requests(
-                            round,
-                            self.cfg.candidates.max_triples_per_site,
-                        ));
-                    }
-                    triples
-                })
-                .collect();
-            let n_triples: u64 = requests.iter().map(|r| r.len() as u64).sum();
-            telemetry::counter_add("gdo.funnel.c3.enumerated", n_triples);
-            telemetry::counter_add("gdo.funnel.c3.filtered", n_triples);
-            run_c3_budgeted(
-                nl,
-                &sim,
-                &mut rounds,
-                requests,
-                self.cfg.threads,
-                Some(budget),
-            );
-        }
-        drop(bpfs_span);
-        let t_bpfs = t0.elapsed();
-
-        let mut pvccs: Vec<Pvcc> = Vec::new();
-        let mut survived = 0u64;
-        for round in &rounds {
-            let rewrites: Vec<Rewrite> = if use_c3 {
-                sub3_candidates(round)
-                    .into_iter()
-                    .filter(|rw| {
-                        enable_xor
-                            || !matches!(
-                                rw.kind,
-                                RewriteKind::Sub3 {
-                                    gate: crate::Gate3::Xor | crate::Gate3::Xnor,
-                                    ..
-                                }
-                            )
-                    })
-                    .collect()
-            } else {
-                sub2_candidates(round)
-            };
-            survived += rewrites.len() as u64;
-            let ncp = site_ncp(nl, round.site, &cp);
-            for rw in rewrites {
-                let lds =
-                    site_arrival(nl, rw.site, tg) - estimate_arrival(nl, self.lib, tg, &rw, true);
-                if lds > tg.eps() {
-                    pvccs.push(Pvcc {
-                        rewrite: rw,
-                        rank: RankKey { ncp, lds },
-                    });
-                }
-            }
-        }
-        telemetry::counter_add(
-            if use_c3 {
-                "gdo.funnel.c3.bpfs_survived"
-            } else {
-                "gdo.funnel.c2.bpfs_survived"
-            },
-            survived,
-        );
-        pvccs.sort_by(|x, y| x.rank.cmp_desc(&y.rank));
-        stats.engines[EngineId::Gdo.index()].proposed += pvccs.len();
-        if telemetry::enabled() {
-            let pair_survivors: usize = rounds.iter().map(|r| r.pairs.len()).sum();
-            telemetry::event(
-                "gdo.round",
-                &[
-                    ("phase", "delay".into()),
-                    ("c3", use_c3.into()),
-                    ("sites", rounds.len().into()),
-                    ("pair_survivors", pair_survivors.into()),
-                    ("ranked_pvccs", pvccs.len().into()),
-                ],
-            );
-        }
-
-        // Prove and apply, best first; several modifications per
-        // simulation, revalidating against the evolving netlist. The
-        // persistent graph follows each applied rewrite incrementally,
-        // so the revalidation is against fresh timing without any full
-        // recompute.
-        let t0 = std::time::Instant::now();
-        let apply_span = telemetry::span("gdo.round.apply");
-        let mut applied = 0;
-        let mut proofs_here = 0usize;
-        for pvcc in pvccs {
-            if proofs_here >= self.cfg.max_proofs_per_round {
-                break;
-            }
-            if budget.is_exhausted() {
-                break;
-            }
-            let rw = pvcc.rewrite;
-            if net.is_quarantined(&rw) {
-                continue;
-            }
-            if !rw.is_applicable(nl) {
-                continue;
-            }
-            let src = rw.site.source(nl);
-            if !tg.is_critical(src) {
-                continue;
-            }
-            let new_arrival = estimate_arrival(nl, self.lib, tg, &rw, true);
-            if new_arrival + tg.eps() >= tg.arrival(src) {
-                continue;
-            }
-            if !self.cfg.legacy_eval && refuted.contains(&rw) {
-                continue;
-            }
-            stats.proofs += 1;
-            stats.engines[EngineId::Gdo.index()].filtered += 1;
-            proofs_here += 1;
-            budget.charge(1);
-            telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proofs), 1);
-            if !prove_rewrite_with_budget(
-                nl,
-                self.lib,
-                &rw,
-                self.cfg.prover,
-                self.cfg.conflict_budget,
-                Some(budget),
-            )? {
-                if budget.is_exhausted() {
-                    // An interrupted proof is not a genuine refutation:
-                    // do not poison the cache with it.
-                    break;
-                }
-                if !self.cfg.legacy_eval {
-                    refuted.insert(rw);
-                }
-                continue;
-            }
-            stats.proofs_valid += 1;
-            stats.engines[EngineId::Gdo.index()].proved += 1;
-            telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proved), 1);
-            apply_rewrite(nl, self.lib, &rw, true)?;
-            let delta = nl.take_delta();
-            tg.update(nl, model, &delta);
-            refuted.clear();
-            if net.check_after_apply(nl, tg, rewrite_class(&rw))? {
-                // Verification failed: everything since the last good
-                // checkpoint was rolled back and the class quarantined.
-                continue;
-            }
-            telemetry::counter_add(funnel_counter(&rw, FunnelStage::Applied), 1);
-            if telemetry::enabled() {
-                telemetry::event(
-                    "gdo.applied",
-                    &[
-                        ("phase", "delay".into()),
-                        ("rewrite", format!("{rw}").into()),
-                        ("ncp", pvcc.rank.ncp.into()),
-                        ("lds", pvcc.rank.lds.into()),
-                    ],
-                );
-            }
-            ckpt.record_applied(|| format!("{rw}"));
-            count_mod(stats, &rw);
-            stats.engines[EngineId::Gdo.index()].applied += 1;
-            applied += 1;
-        }
-        drop(apply_span);
-        if telemetry::enabled() {
-            telemetry::event(
-                "gdo.round.end",
-                &[
-                    ("c3", use_c3.into()),
-                    ("cand_s", t_cand.as_secs_f64().into()),
-                    ("bpfs_s", t_bpfs.as_secs_f64().into()),
-                    ("apply_s", t0.elapsed().as_secs_f64().into()),
-                    ("applied", applied.into()),
-                ],
-            );
-        }
-        Ok(applied)
-    }
-
-    /// One area-phase batch: redundancy removal plus area-saving
-    /// substitutions of non-critical gates, each verified not to degrade
-    /// the circuit delay.
-    #[allow(clippy::too_many_arguments)]
-    fn area_round(
-        &self,
-        nl: &mut Netlist,
-        tg: &mut TimingGraph,
-        model: &LibDelay<'_>,
-        enable_xor: bool,
-        stats: &mut GdoStats,
-        seed: &mut u64,
-        refuted: &mut HashSet<Rewrite>,
-        budget: &Budget,
-        net: &mut SafetyNet,
-        ckpt: &mut Checkpointer,
-    ) -> Result<usize, GdoError> {
-        if nl.outputs().is_empty() || nl.inputs().is_empty() {
-            return Ok(0);
-        }
-        let ctx = CandidateContext::build(nl)?;
-        let baseline_delay = tg.circuit_delay();
-
-        let mut site_cands: Vec<(Site, Vec<SignalId>)> = Vec::new();
-        let mut c2_enumerated = 0u64;
-        let mut c2_kept = 0u64;
-        for g in nl.gates() {
-            if nl.fanout_count(g) == 0 {
-                continue;
-            }
-            let site = Site::Stem(g);
-            // Non-critical gates only (the delay phase owns critical ones),
-            // but every gate is a redundancy-removal candidate.
-            let bs = if tg.is_critical(g) {
-                Vec::new()
-            } else {
-                let budget = site_required(site, tg) - tg.eps();
-                let (bs, counts) =
-                    pair_candidates_counted(nl, tg, &ctx, site, &self.cfg.candidates, budget);
-                c2_enumerated += counts.considered;
-                c2_kept += counts.kept;
-                bs
-            };
-            site_cands.push((site, bs));
-        }
-        telemetry::counter_add("gdo.funnel.c2.enumerated", c2_enumerated);
-        telemetry::counter_add("gdo.funnel.c2.filtered", c2_kept);
-        // Rank sites coarsely by prospective pruning gain to respect the
-        // per-round site cap.
-        site_cands.sort_by(|(sx, _), (sy, _)| {
-            let gx = crate::transform::dead_cone_area(nl, self.lib, sx.cone_root());
-            let gy = crate::transform::dead_cone_area(nl, self.lib, sy.cone_root());
-            gy.total_cmp(&gx)
-        });
-        site_cands.truncate(self.cfg.max_sites_per_round.max(self.cfg.area_batch));
-        // Every surveyed site doubles as a C1 (constant-substitution)
-        // candidate; there is no dedicated pre-filter for them.
-        telemetry::counter_add("gdo.funnel.const.enumerated", site_cands.len() as u64);
-        telemetry::counter_add("gdo.funnel.const.filtered", site_cands.len() as u64);
-
-        *seed += 1;
-        let vectors = VectorSet::random(nl.inputs().len(), self.cfg.vectors, *seed);
-        let sim = simulate(nl, &vectors)?;
-        let mut rounds = self.run_c2(nl, &sim, site_cands, budget)?;
-        if self.cfg.enable_sub3 {
-            let requests: Vec<Vec<TripleEntry>> = rounds
-                .iter()
-                .map(|round| {
-                    let mut triples =
-                        and_or_triple_requests(round, self.cfg.candidates.max_triples_per_site);
-                    if enable_xor && self.cfg.xor_direct {
-                        triples.extend(xor_triple_requests(
-                            round,
-                            self.cfg.candidates.max_triples_per_site,
-                        ));
-                    }
-                    triples
-                })
-                .collect();
-            let n_triples: u64 = requests.iter().map(|r| r.len() as u64).sum();
-            telemetry::counter_add("gdo.funnel.c3.enumerated", n_triples);
-            telemetry::counter_add("gdo.funnel.c3.filtered", n_triples);
-            run_c3_budgeted(
-                nl,
-                &sim,
-                &mut rounds,
-                requests,
-                self.cfg.threads,
-                Some(budget),
-            );
-        }
-
-        let mut pvccs: Vec<(f64, Rewrite)> = Vec::new();
-        let mut surv_const = 0u64;
-        let mut surv_c2 = 0u64;
-        let mut surv_c3 = 0u64;
-        for round in &rounds {
-            let mut rewrites = const_candidates(round);
-            surv_const += rewrites.len() as u64;
-            let subs2 = sub2_candidates(round);
-            surv_c2 += subs2.len() as u64;
-            rewrites.extend(subs2);
-            if self.cfg.enable_sub3 {
-                let subs3 = sub3_candidates(round);
-                surv_c3 += subs3.len() as u64;
-                rewrites.extend(subs3);
-            }
-            for rw in rewrites {
-                let gain = estimate_area_delta(nl, self.lib, &rw, false);
-                if gain > 1e-9 {
-                    pvccs.push((gain, rw));
-                }
-            }
-        }
-        telemetry::counter_add("gdo.funnel.const.bpfs_survived", surv_const);
-        telemetry::counter_add("gdo.funnel.c2.bpfs_survived", surv_c2);
-        telemetry::counter_add("gdo.funnel.c3.bpfs_survived", surv_c3);
-        pvccs.sort_by(|(gx, _), (gy, _)| gy.total_cmp(gx));
-        stats.engines[EngineId::Gdo.index()].proposed += pvccs.len();
-
-        let mut applied = 0;
-        let mut proofs_here = 0usize;
-        for (_, rw) in pvccs {
-            if applied >= self.cfg.area_batch || proofs_here >= self.cfg.max_proofs_per_round {
-                break;
-            }
-            if budget.is_exhausted() {
-                break;
-            }
-            if net.is_quarantined(&rw) {
-                continue;
-            }
-            if !rw.is_applicable(nl) {
-                continue;
-            }
-            if self.cfg.legacy_eval {
-                // Seed-style trial: clone the whole netlist, apply the
-                // rewrite, and re-run full timing analysis for every
-                // candidate. Kept as an opt-in baseline so the
-                // incremental path below has something honest to be
-                // benchmarked against.
-                let mut trial = nl.clone();
-                apply_rewrite(&mut trial, self.lib, &rw, false)?;
-                let trial_tg = TimingGraph::from_scratch(&trial, model)?;
-                if trial_tg.circuit_delay() > baseline_delay + trial_tg.eps()
-                    || total_area(&trial, model) >= total_area(nl, model)
-                {
-                    continue;
-                }
-                stats.proofs += 1;
-                stats.engines[EngineId::Gdo.index()].filtered += 1;
-                proofs_here += 1;
-                budget.charge(1);
-                telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proofs), 1);
-                if !prove_rewrite_with_budget(
-                    nl,
-                    self.lib,
-                    &rw,
-                    self.cfg.prover,
-                    self.cfg.conflict_budget,
-                    Some(budget),
-                )? {
-                    continue;
-                }
-                stats.proofs_valid += 1;
-                stats.engines[EngineId::Gdo.index()].proved += 1;
-                telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proved), 1);
-                *nl = trial;
-                // The trial graph is already a fresh full analysis; just
-                // discard the journal entries the trial apply recorded.
-                let _ = nl.take_delta();
-                *tg = trial_tg;
-            } else {
-                // Trial-evaluate against the persistent graph FIRST
-                // (cheap): the substitution must not lengthen the critical
-                // path and must actually save area. Only then pay for the
-                // validity proof. The replacement's arrival is exact (it
-                // mirrors `apply_rewrite`'s realization, inverter reuse
-                // included) and the site's downstream cone is untouched by
-                // a substitution, so comparing arrival against the site's
-                // required time decides the delay question without cloning
-                // the netlist or re-running timing analysis per candidate.
-                let required = site_required(rw.site, tg);
-                let new_arrival = estimate_arrival(nl, self.lib, tg, &rw, false);
-                if new_arrival > required + tg.eps() {
-                    continue;
-                }
-                // Re-estimate the gain on the evolved netlist: earlier
-                // applications in this batch may have claimed the savings.
-                if estimate_area_delta(nl, self.lib, &rw, false) <= 1e-9 {
-                    continue;
-                }
-                if refuted.contains(&rw) {
-                    continue;
-                }
-                stats.proofs += 1;
-                stats.engines[EngineId::Gdo.index()].filtered += 1;
-                proofs_here += 1;
-                budget.charge(1);
-                telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proofs), 1);
-                if !prove_rewrite_with_budget(
-                    nl,
-                    self.lib,
-                    &rw,
-                    self.cfg.prover,
-                    self.cfg.conflict_budget,
-                    Some(budget),
-                )? {
-                    if budget.is_exhausted() {
-                        break;
-                    }
-                    refuted.insert(rw);
-                    continue;
-                }
-                stats.proofs_valid += 1;
-                stats.engines[EngineId::Gdo.index()].proved += 1;
-                telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proved), 1);
-                // One backup per *accepted* candidate (bounded by the batch
-                // size) guards the estimates end to end: constant
-                // substitutions sweep and rebind downstream logic, which the
-                // estimators do not model. Rejected candidates never clone,
-                // and reverting restores the cloned graph instead of paying
-                // for a recompute.
-                let backup = nl.clone();
-                let backup_tg = tg.clone();
-                apply_rewrite(nl, self.lib, &rw, false)?;
-                let delta = nl.take_delta();
-                tg.update(nl, model, &delta);
-                if tg.circuit_delay() > baseline_delay + tg.eps()
-                    || total_area(nl, model) >= total_area(&backup, model)
-                {
-                    *nl = backup;
-                    *tg = backup_tg;
-                    continue;
-                }
-            }
-            refuted.clear();
-            if net.check_after_apply(nl, tg, rewrite_class(&rw))? {
-                continue;
-            }
-            telemetry::counter_add(funnel_counter(&rw, FunnelStage::Applied), 1);
-            if telemetry::enabled() {
-                telemetry::event(
-                    "gdo.applied",
-                    &[
-                        ("phase", "area".into()),
-                        ("rewrite", format!("{rw}").into()),
-                    ],
-                );
-            }
-            ckpt.record_applied(|| format!("{rw}"));
-            count_mod(stats, &rw);
-            stats.engines[EngineId::Gdo.index()].applied += 1;
-            applied += 1;
-        }
-        Ok(applied)
-    }
-}
-
-/// The paper's two-phase clause-analysis optimizer as a pipeline
-/// [`Engine`]: alternates the delay-reduction and area-recovery phases
-/// until neither finds a substitution (or the outer-round cap / budget
-/// cuts the run short).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GdoEngine;
 
@@ -1099,9 +408,9 @@ impl Engine for GdoEngine {
     }
 
     fn run(&self, ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
-        let opt = Optimizer::new(ctx.lib, ctx.cfg.clone());
+        let cfg = ctx.cfg;
         let mut total = 0;
-        for outer in ctx.resume_start()..opt.cfg.max_outer_rounds {
+        for outer in ctx.resume_start()..cfg.max_outer_rounds {
             if ctx.budget.is_exhausted() {
                 break;
             }
@@ -1111,36 +420,14 @@ impl Engine for GdoEngine {
             let delay_applied = {
                 let _phase = telemetry::span("gdo.delay_phase");
                 ctx.budget.enter_phase(Phase::Delay);
-                opt.delay_phase(
-                    ctx.nl,
-                    ctx.tg,
-                    ctx.model,
-                    ctx.enable_xor,
-                    ctx.stats,
-                    ctx.seed,
-                    ctx.refuted,
-                    ctx.budget,
-                    ctx.net,
-                    ctx.ckpt,
-                )?
+                delay_phase(ctx)?
             };
             let t_delay = t.elapsed();
             let t = std::time::Instant::now();
-            let area_applied = if opt.cfg.area_phase && !ctx.budget.is_exhausted() {
+            let area_applied = if cfg.area_phase && !ctx.budget.is_exhausted() {
                 let _phase = telemetry::span("gdo.area_phase");
                 ctx.budget.enter_phase(Phase::Area);
-                opt.area_round(
-                    ctx.nl,
-                    ctx.tg,
-                    ctx.model,
-                    ctx.enable_xor,
-                    ctx.stats,
-                    ctx.seed,
-                    ctx.refuted,
-                    ctx.budget,
-                    ctx.net,
-                    ctx.ckpt,
-                )?
+                area_round(ctx)?
             } else {
                 0
             };
@@ -1161,12 +448,488 @@ impl Engine for GdoEngine {
             if delay_applied == 0 && area_applied == 0 {
                 break;
             }
-            if !opt.cfg.area_phase && delay_applied == 0 {
+            if !cfg.area_phase && delay_applied == 0 {
                 break;
             }
         }
         Ok(total)
     }
+}
+
+/// Delay reduction phase: C2 rounds until dry, then C3 rounds, until
+/// neither improves anything.
+fn delay_phase(ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
+    let cfg = ctx.cfg;
+    let mut total = 0;
+    for _ in 0..cfg.max_delay_rounds {
+        if ctx.budget.is_exhausted() {
+            break;
+        }
+        let n2 = delay_round(ctx, false)?;
+        total += n2;
+        if n2 > 0 {
+            continue;
+        }
+        if cfg.enable_sub3 && !ctx.budget.is_exhausted() {
+            let n3 = delay_round(ctx, true)?;
+            total += n3;
+            if n3 > 0 {
+                continue;
+            }
+        }
+        break;
+    }
+    Ok(total)
+}
+
+/// One delay-phase simulate/rank/prove/apply round. `use_c3` selects
+/// `OS3`/`IS3` candidates (run after C2 candidates dry up, as in the
+/// paper, since C2 simulation is cheaper).
+fn delay_round(ctx: &mut OptimizeContext<'_, '_>, use_c3: bool) -> Result<usize, GdoError> {
+    let (cfg, lib) = (ctx.cfg, ctx.lib);
+    if ctx.nl.outputs().is_empty() || ctx.nl.inputs().is_empty() {
+        return Ok(0);
+    }
+    if ctx.tg.circuit_delay() <= 0.0 {
+        return Ok(0);
+    }
+    let (nl, tg) = (&*ctx.nl, &*ctx.tg);
+    let cp = CriticalPaths::count(nl, tg)?;
+    let cands = CandidateContext::build(nl)?;
+
+    // a-signal sites: critical gate stems and critical in-edges.
+    let mut sites: Vec<Site> = Vec::new();
+    for g in tg.critical_gates(nl) {
+        if nl.fanout_count(g) > 0 {
+            sites.push(Site::Stem(g));
+        }
+        for pin in 0..nl.fanins(g).len() {
+            if tg.is_critical_edge(nl, g, pin)
+                && !nl.kind(nl.fanins(g)[pin]).is_source()
+                && nl.fanout_count(nl.fanins(g)[pin]) > 1
+            {
+                sites.push(Site::Branch(Branch {
+                    cell: g,
+                    pin: pin as u32,
+                }));
+            }
+        }
+    }
+    sites.sort_by(|&x, &y| site_ncp(nl, y, &cp).total_cmp(&site_ncp(nl, x, &cp)));
+    sites.truncate(cfg.max_sites_per_round);
+
+    let t0 = std::time::Instant::now();
+    let site_cands: Vec<(Site, Vec<SignalId>)> = {
+        let _span = telemetry::span("gdo.round.candidates");
+        let mut enumerated = 0u64;
+        let mut kept = 0u64;
+        let sc: Vec<(Site, Vec<SignalId>)> = sites
+            .into_iter()
+            .map(|site| {
+                let max_arrival = site_arrival(nl, site, tg) - tg.eps();
+                let (bs, counts) =
+                    pair_candidates_counted(nl, tg, &cands, site, &cfg.candidates, max_arrival);
+                enumerated += counts.considered;
+                kept += counts.kept;
+                (site, bs)
+            })
+            .collect();
+        telemetry::counter_add("gdo.funnel.c2.enumerated", enumerated);
+        telemetry::counter_add("gdo.funnel.c2.filtered", kept);
+        sc
+    };
+    let t_cand = t0.elapsed();
+
+    let t0 = std::time::Instant::now();
+    let bpfs_span = telemetry::span("gdo.round.bpfs");
+    let rounds = bpfs_pass(ctx, site_cands, use_c3)?;
+    drop(bpfs_span);
+    let t_bpfs = t0.elapsed();
+
+    let (nl, tg) = (&*ctx.nl, &*ctx.tg);
+    let mut pvccs: Vec<Pvcc> = Vec::new();
+    let mut survived = 0u64;
+    for round in &rounds {
+        let rewrites: Vec<Rewrite> = if use_c3 {
+            sub3_candidates(round)
+                .into_iter()
+                .filter(|rw| {
+                    ctx.enable_xor
+                        || !matches!(
+                            rw.kind,
+                            RewriteKind::Sub3 {
+                                gate: crate::Gate3::Xor | crate::Gate3::Xnor,
+                                ..
+                            }
+                        )
+                })
+                .collect()
+        } else {
+            sub2_candidates(round)
+        };
+        survived += rewrites.len() as u64;
+        let ncp = site_ncp(nl, round.site, &cp);
+        for rw in rewrites {
+            let lds = site_arrival(nl, rw.site, tg) - estimate_arrival(nl, lib, tg, &rw, true);
+            if lds > tg.eps() {
+                pvccs.push(Pvcc {
+                    rewrite: rw,
+                    rank: RankKey { ncp, lds },
+                });
+            }
+        }
+    }
+    telemetry::counter_add(
+        if use_c3 {
+            "gdo.funnel.c3.bpfs_survived"
+        } else {
+            "gdo.funnel.c2.bpfs_survived"
+        },
+        survived,
+    );
+    pvccs.sort_by(|x, y| x.rank.cmp_desc(&y.rank));
+    ctx.stats.engines[EngineId::Gdo.index()].proposed += pvccs.len();
+    if telemetry::enabled() {
+        let pair_survivors: usize = rounds.iter().map(|r| r.pairs.len()).sum();
+        telemetry::event(
+            "gdo.round",
+            &[
+                ("phase", "delay".into()),
+                ("c3", use_c3.into()),
+                ("sites", rounds.len().into()),
+                ("pair_survivors", pair_survivors.into()),
+                ("ranked_pvccs", pvccs.len().into()),
+            ],
+        );
+    }
+
+    // Prove and apply, best first; several modifications per simulation,
+    // revalidating against the evolving netlist. The persistent graph
+    // follows each applied rewrite incrementally, so the revalidation is
+    // against fresh timing without any full recompute.
+    let t0 = std::time::Instant::now();
+    let apply_span = telemetry::span("gdo.round.apply");
+    let mut applied = 0;
+    let proofs_before = ctx.stats.proofs;
+    for pvcc in pvccs {
+        if ctx.stats.proofs - proofs_before >= cfg.max_proofs_per_round || ctx.budget.is_exhausted()
+        {
+            break;
+        }
+        let rw = pvcc.rewrite;
+        if ctx.net.is_quarantined(&rw) || !rw.is_applicable(ctx.nl) {
+            continue;
+        }
+        let src = rw.site.source(ctx.nl);
+        if !ctx.tg.is_critical(src) {
+            continue;
+        }
+        let new_arrival = estimate_arrival(ctx.nl, lib, ctx.tg, &rw, true);
+        if new_arrival + ctx.tg.eps() >= ctx.tg.arrival(src) {
+            continue;
+        }
+        let verdict = prove_and_apply(ctx, rw, Phase::Delay, Some(pvcc.rank), |ctx| {
+            apply_journaled(ctx, &rw, true)?;
+            Ok(true)
+        })?;
+        match verdict {
+            Verdict::Applied => applied += 1,
+            Verdict::Rejected => {}
+            Verdict::OutOfBudget => break,
+        }
+    }
+    drop(apply_span);
+    if telemetry::enabled() {
+        telemetry::event(
+            "gdo.round.end",
+            &[
+                ("c3", use_c3.into()),
+                ("cand_s", t_cand.as_secs_f64().into()),
+                ("bpfs_s", t_bpfs.as_secs_f64().into()),
+                ("apply_s", t0.elapsed().as_secs_f64().into()),
+                ("applied", applied.into()),
+            ],
+        );
+    }
+    Ok(applied)
+}
+
+/// One area-phase batch: redundancy removal plus area-saving
+/// substitutions of non-critical gates, each verified not to degrade
+/// the circuit delay.
+fn area_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
+    let (cfg, lib) = (ctx.cfg, ctx.lib);
+    if ctx.nl.outputs().is_empty() || ctx.nl.inputs().is_empty() {
+        return Ok(0);
+    }
+    let (nl, tg) = (&*ctx.nl, &*ctx.tg);
+    let cands = CandidateContext::build(nl)?;
+    let baseline_delay = tg.circuit_delay();
+
+    let mut site_cands: Vec<(Site, Vec<SignalId>)> = Vec::new();
+    let mut c2_enumerated = 0u64;
+    let mut c2_kept = 0u64;
+    for g in nl.gates() {
+        if nl.fanout_count(g) == 0 {
+            continue;
+        }
+        let site = Site::Stem(g);
+        // Non-critical gates only (the delay phase owns critical ones),
+        // but every gate is a redundancy-removal candidate.
+        let bs = if tg.is_critical(g) {
+            Vec::new()
+        } else {
+            let budget = site_required(site, tg) - tg.eps();
+            let (bs, counts) =
+                pair_candidates_counted(nl, tg, &cands, site, &cfg.candidates, budget);
+            c2_enumerated += counts.considered;
+            c2_kept += counts.kept;
+            bs
+        };
+        site_cands.push((site, bs));
+    }
+    telemetry::counter_add("gdo.funnel.c2.enumerated", c2_enumerated);
+    telemetry::counter_add("gdo.funnel.c2.filtered", c2_kept);
+    // Rank sites coarsely by prospective pruning gain to respect the
+    // per-round site cap.
+    site_cands.sort_by(|(sx, _), (sy, _)| {
+        let gx = crate::transform::dead_cone_area(nl, lib, sx.cone_root());
+        let gy = crate::transform::dead_cone_area(nl, lib, sy.cone_root());
+        gy.total_cmp(&gx)
+    });
+    site_cands.truncate(cfg.max_sites_per_round.max(cfg.area_batch));
+    // Every surveyed site doubles as a C1 (constant-substitution)
+    // candidate; there is no dedicated pre-filter for them.
+    telemetry::counter_add("gdo.funnel.const.enumerated", site_cands.len() as u64);
+    telemetry::counter_add("gdo.funnel.const.filtered", site_cands.len() as u64);
+
+    let rounds = bpfs_pass(ctx, site_cands, cfg.enable_sub3)?;
+
+    let nl = &*ctx.nl;
+    let mut pvccs: Vec<(f64, Rewrite)> = Vec::new();
+    let mut surv_const = 0u64;
+    let mut surv_c2 = 0u64;
+    let mut surv_c3 = 0u64;
+    for round in &rounds {
+        let mut rewrites = const_candidates(round);
+        surv_const += rewrites.len() as u64;
+        let subs2 = sub2_candidates(round);
+        surv_c2 += subs2.len() as u64;
+        rewrites.extend(subs2);
+        if cfg.enable_sub3 {
+            let subs3 = sub3_candidates(round);
+            surv_c3 += subs3.len() as u64;
+            rewrites.extend(subs3);
+        }
+        for rw in rewrites {
+            let gain = estimate_area_delta(nl, lib, &rw, false);
+            if gain > 1e-9 {
+                pvccs.push((gain, rw));
+            }
+        }
+    }
+    telemetry::counter_add("gdo.funnel.const.bpfs_survived", surv_const);
+    telemetry::counter_add("gdo.funnel.c2.bpfs_survived", surv_c2);
+    telemetry::counter_add("gdo.funnel.c3.bpfs_survived", surv_c3);
+    pvccs.sort_by(|(gx, _), (gy, _)| gy.total_cmp(gx));
+    ctx.stats.engines[EngineId::Gdo.index()].proposed += pvccs.len();
+
+    let mut applied = 0;
+    let proofs_before = ctx.stats.proofs;
+    for (_, rw) in pvccs {
+        if applied >= cfg.area_batch
+            || ctx.stats.proofs - proofs_before >= cfg.max_proofs_per_round
+            || ctx.budget.is_exhausted()
+        {
+            break;
+        }
+        if ctx.net.is_quarantined(&rw) || !rw.is_applicable(ctx.nl) {
+            continue;
+        }
+        // Trial-evaluate against the persistent graph FIRST (cheap): the
+        // substitution must not lengthen the critical path and must
+        // actually save area. Only then pay for the validity proof. The
+        // replacement's arrival is exact (it mirrors `apply_rewrite`'s
+        // realization, inverter reuse included) and the site's downstream
+        // cone is untouched by a substitution, so comparing arrival
+        // against the site's required time decides the delay question
+        // without cloning the netlist or re-running timing analysis per
+        // candidate.
+        let required = site_required(rw.site, ctx.tg);
+        let new_arrival = estimate_arrival(ctx.nl, lib, ctx.tg, &rw, false);
+        if new_arrival > required + ctx.tg.eps() {
+            continue;
+        }
+        // Re-estimate the gain on the evolved netlist: earlier
+        // applications in this batch may have claimed the savings.
+        if estimate_area_delta(ctx.nl, lib, &rw, false) <= 1e-9 {
+            continue;
+        }
+        let verdict = prove_and_apply(ctx, rw, Phase::Area, None, |ctx| {
+            // One backup per *accepted* candidate (bounded by the batch
+            // size) guards the estimates end to end: constant
+            // substitutions sweep and rebind downstream logic, which the
+            // estimators do not model. Rejected candidates never clone,
+            // and reverting restores the cloned graph instead of paying
+            // for a recompute.
+            let backup = ctx.nl.clone();
+            let backup_tg = ctx.tg.clone();
+            apply_journaled(ctx, &rw, false)?;
+            if ctx.tg.circuit_delay() > baseline_delay + ctx.tg.eps()
+                || total_area(ctx.nl, ctx.model) >= total_area(&backup, ctx.model)
+            {
+                *ctx.nl = backup;
+                *ctx.tg = backup_tg;
+                return Ok(false);
+            }
+            Ok(true)
+        })?;
+        match verdict {
+            Verdict::Applied => applied += 1,
+            Verdict::Rejected => {}
+            Verdict::OutOfBudget => break,
+        }
+    }
+    Ok(applied)
+}
+
+/// One BPFS pass over a fresh vector batch: the C1/C2 invalidation of
+/// every site in `site_cands`, then, with `with_c3`, the C3 invalidation
+/// of each site's triple requests — AND/OR combinations of its pairs,
+/// plus structural XOR triples when XOR cells are usable — tallied on
+/// the C3 funnel.
+fn bpfs_pass(
+    ctx: &mut OptimizeContext<'_, '_>,
+    site_cands: Vec<(Site, Vec<SignalId>)>,
+    with_c3: bool,
+) -> Result<Vec<SiteRound>, GdoError> {
+    let cfg = ctx.cfg;
+    *ctx.seed += 1;
+    let vectors = VectorSet::random(ctx.nl.inputs().len(), cfg.vectors, *ctx.seed);
+    let sim = simulate(ctx.nl, &vectors)?;
+    let mut rounds = run_c2(ctx.nl, &sim, site_cands, cfg.threads, Some(ctx.budget))?;
+    if with_c3 {
+        let max = cfg.candidates.max_triples_per_site;
+        let xor = ctx.enable_xor && cfg.xor_direct;
+        let requests: Vec<Vec<TripleEntry>> = rounds
+            .iter()
+            .map(|round| {
+                let mut triples = and_or_triple_requests(round, max);
+                if xor {
+                    triples.extend(xor_triple_requests(round, max));
+                }
+                triples
+            })
+            .collect();
+        let n_triples: u64 = requests.iter().map(|r| r.len() as u64).sum();
+        telemetry::counter_add("gdo.funnel.c3.enumerated", n_triples);
+        telemetry::counter_add("gdo.funnel.c3.filtered", n_triples);
+        run_c3(
+            ctx.nl,
+            &sim,
+            &mut rounds,
+            requests,
+            cfg.threads,
+            Some(ctx.budget),
+        );
+    }
+    Ok(rounds)
+}
+
+/// What became of one ranked candidate in [`prove_and_apply`].
+enum Verdict {
+    /// Proved, applied and kept.
+    Applied,
+    /// Refuted (now or by an earlier proof), reverted by the apply step,
+    /// or rolled back by the safety net.
+    Rejected,
+    /// The budget ran out mid-proof: the round stops.
+    OutOfBudget,
+}
+
+/// The prove → refutation cache → apply bookkeeping both phases share.
+///
+/// A rewrite the cache already refuted is rejected without a proof; the
+/// rest are charged to the budget and proved. A genuine refutation is
+/// cached, one the budget caused is not. A proved rewrite goes to
+/// `apply`, which edits the netlist, folds the edit into the timing
+/// graph and returns `false` if it had to revert. A kept rewrite clears
+/// the cache (the circuit changed), passes the safety net, and is
+/// tallied and journaled.
+fn prove_and_apply(
+    ctx: &mut OptimizeContext<'_, '_>,
+    rw: Rewrite,
+    phase: Phase,
+    rank: Option<RankKey>,
+    apply: impl FnOnce(&mut OptimizeContext<'_, '_>) -> Result<bool, GdoError>,
+) -> Result<Verdict, GdoError> {
+    if ctx.refuted.contains(&rw) {
+        return Ok(Verdict::Rejected);
+    }
+    let cfg = ctx.cfg;
+    ctx.stats.proofs += 1;
+    ctx.stats.engines[EngineId::Gdo.index()].filtered += 1;
+    ctx.budget.charge(1);
+    telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proofs), 1);
+    if !prove_rewrite(
+        ctx.nl,
+        ctx.lib,
+        &rw,
+        cfg.prover,
+        cfg.conflict_budget,
+        Some(ctx.budget),
+    )? {
+        if ctx.budget.is_exhausted() {
+            // An interrupted proof is not a genuine refutation: do not
+            // poison the cache with it.
+            return Ok(Verdict::OutOfBudget);
+        }
+        ctx.refuted.insert(rw);
+        return Ok(Verdict::Rejected);
+    }
+    ctx.stats.proofs_valid += 1;
+    ctx.stats.engines[EngineId::Gdo.index()].proved += 1;
+    telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proved), 1);
+    if !apply(ctx)? {
+        return Ok(Verdict::Rejected);
+    }
+    ctx.refuted.clear();
+    if ctx
+        .net
+        .check_after_apply(ctx.nl, ctx.tg, rewrite_class(&rw))?
+    {
+        // Verification failed: everything since the last good checkpoint
+        // was rolled back and the class quarantined.
+        return Ok(Verdict::Rejected);
+    }
+    telemetry::counter_add(funnel_counter(&rw, FunnelStage::Applied), 1);
+    if telemetry::enabled() {
+        let mut fields = vec![
+            ("phase", phase.name().into()),
+            ("rewrite", format!("{rw}").into()),
+        ];
+        if let Some(rank) = rank {
+            fields.push(("ncp", rank.ncp.into()));
+            fields.push(("lds", rank.lds.into()));
+        }
+        telemetry::event("gdo.applied", &fields);
+    }
+    ctx.ckpt.record_applied(|| format!("{rw}"));
+    count_mod(ctx.stats, &rw);
+    ctx.stats.engines[EngineId::Gdo.index()].applied += 1;
+    Ok(Verdict::Applied)
+}
+
+/// Applies `rw` and folds the edits it journaled into the timing graph.
+fn apply_journaled(
+    ctx: &mut OptimizeContext<'_, '_>,
+    rw: &Rewrite,
+    fast: bool,
+) -> Result<(), GdoError> {
+    apply_rewrite(ctx.nl, ctx.lib, rw, fast)?;
+    let delta = ctx.nl.take_delta();
+    ctx.tg.update(ctx.nl, ctx.model, &delta);
+    Ok(())
 }
 
 fn count_mod(stats: &mut GdoStats, rw: &Rewrite) {
@@ -1222,9 +985,6 @@ pub fn optimize(lib: &Library, cfg: GdoConfig, nl: &mut Netlist) -> Result<GdoSt
 
 #[cfg(test)]
 mod tests {
-    // The deprecated trio stays covered until it is removed: these tests
-    // exercise the shims on purpose.
-    #![allow(deprecated)]
     use super::*;
     use library::{standard_library, MapGoal, Mapper};
     use netlist::GateKind;
@@ -1232,7 +992,7 @@ mod tests {
     fn optimize_and_check(nl: &Netlist, cfg: GdoConfig) -> (Netlist, GdoStats) {
         let lib = standard_library();
         let mut mapped = Mapper::new(&lib).goal(MapGoal::Area).map(nl).unwrap();
-        let stats = Optimizer::new(&lib, cfg).optimize(&mut mapped).unwrap();
+        let stats = optimize(&lib, cfg, &mut mapped).unwrap();
         mapped.validate().unwrap();
         assert!(
             nl.equiv_exhaustive(&mapped).unwrap(),
@@ -1311,9 +1071,7 @@ mod tests {
         nl.add_output("y", deep);
         let reference = nl.clone();
         let mut opt = nl.clone();
-        let stats = Optimizer::new(&lib, GdoConfig::default())
-            .optimize(&mut opt)
-            .unwrap();
+        let stats = optimize(&lib, GdoConfig::default(), &mut opt).unwrap();
         opt.validate().unwrap();
         assert!(reference.equiv_exhaustive(&opt).unwrap());
         // inv1+nor2 arrival = 2.2; a fresh and2 arrives at 1.6.
@@ -1356,7 +1114,7 @@ mod tests {
             ..GdoConfig::default()
         };
         let mut opt = nl.clone();
-        let stats = Optimizer::new(&lib, cfg).optimize(&mut opt).unwrap();
+        let stats = optimize(&lib, cfg, &mut opt).unwrap();
         opt.validate().unwrap();
         assert!(reference.equiv_exhaustive(&opt).unwrap());
         assert!(stats.sub3_mods >= 1, "XOR OS3 not found: {stats:?}\n{opt}");
@@ -1365,29 +1123,6 @@ mod tests {
         assert!(opt
             .gates()
             .any(|g| matches!(opt.kind(g), GateKind::Xor | GateKind::Xnor)));
-    }
-
-    /// The opt-in seed-style evaluation path (full-walk observability +
-    /// clone-per-candidate area trials) must remain sound and reach the
-    /// same kind of result as the incremental path.
-    #[test]
-    fn legacy_eval_path_is_sound() {
-        let mut nl = Netlist::new("legacy");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let c = nl.add_input("c");
-        let t = nl.add_gate(GateKind::And, &[a, b]).unwrap();
-        let u = nl.add_gate(GateKind::Or, &[a, t]).unwrap();
-        let y = nl.add_gate(GateKind::Xor, &[u, c]).unwrap();
-        nl.add_output("y", y);
-        let cfg = GdoConfig {
-            legacy_eval: true,
-            ..GdoConfig::default()
-        };
-        let (mapped, stats) = optimize_and_check(&nl, cfg);
-        assert!(stats.total_mods() > 0, "legacy path found nothing");
-        assert!(stats.delay_after <= stats.delay_before);
-        mapped.validate().unwrap();
     }
 
     #[test]
@@ -1466,11 +1201,18 @@ mod tests {
         let y = nl.add_gate(GateKind::Or, &[a, t]).unwrap();
         nl.add_output("y", y);
         let lib = standard_library();
-        let mut mapped = Mapper::new(&lib).goal(MapGoal::Area).map(&nl).unwrap();
+        let mapped = Mapper::new(&lib).goal(MapGoal::Area).map(&nl).unwrap();
         let cfg = GdoConfig::builder().build().unwrap();
-        let stats = crate::optimize(&lib, cfg, &mut mapped).unwrap();
+        let mut free = mapped.clone();
+        let stats = optimize(&lib, cfg.clone(), &mut free).unwrap();
         assert!(stats.total_mods() > 0);
-        assert!(nl.equiv_exhaustive(&mapped).unwrap());
+        assert!(nl.equiv_exhaustive(&free).unwrap());
+        let mut piped = mapped;
+        let piped_stats = Pipeline::new(&lib)
+            .run(&OptimizeRequest::new(cfg), &mut piped, &Budget::unlimited())
+            .unwrap();
+        assert_eq!(free.to_string(), piped.to_string());
+        assert_eq!(stats.total_mods(), piped_stats.total_mods());
     }
 
     #[test]
@@ -1483,9 +1225,7 @@ mod tests {
         let lib = standard_library();
         let mut mapped = Mapper::new(&lib).goal(MapGoal::Area).map(&nl).unwrap();
         assert!(!mapped.is_recording());
-        Optimizer::new(&lib, GdoConfig::default())
-            .optimize(&mut mapped)
-            .unwrap();
+        optimize(&lib, GdoConfig::default(), &mut mapped).unwrap();
         assert!(
             !mapped.is_recording(),
             "optimize must stop the edit journal it started"
@@ -1498,17 +1238,13 @@ mod tests {
         // No outputs.
         let mut nl = Netlist::new("empty");
         let _ = nl.add_input("a");
-        let stats = Optimizer::new(&lib, GdoConfig::default())
-            .optimize(&mut nl)
-            .unwrap();
+        let stats = optimize(&lib, GdoConfig::default(), &mut nl).unwrap();
         assert_eq!(stats.total_mods(), 0);
         // Input straight to output.
         let mut nl = Netlist::new("wire");
         let a = nl.add_input("a");
         nl.add_output("y", a);
-        let stats = Optimizer::new(&lib, GdoConfig::default())
-            .optimize(&mut nl)
-            .unwrap();
+        let stats = optimize(&lib, GdoConfig::default(), &mut nl).unwrap();
         assert_eq!(stats.total_mods(), 0);
     }
 
@@ -1553,7 +1289,7 @@ mod tests {
             .deadline(std::time::Duration::ZERO)
             .build()
             .unwrap();
-        let stats = Optimizer::new(&lib, cfg).optimize(&mut mapped).unwrap();
+        let stats = optimize(&lib, cfg, &mut mapped).unwrap();
         assert!(stats.budget_exhausted, "zero deadline must trip the budget");
         assert_eq!(stats.total_mods(), 0);
         assert!(!mapped.is_recording());
@@ -1568,7 +1304,7 @@ mod tests {
         let mut mapped = Mapper::new(&lib).goal(MapGoal::Area).map(&nl).unwrap();
         // One work unit: the first BPFS site survey spends it.
         let cfg = GdoConfig::builder().work_limit(1).build().unwrap();
-        let stats = Optimizer::new(&lib, cfg).optimize(&mut mapped).unwrap();
+        let stats = optimize(&lib, cfg, &mut mapped).unwrap();
         assert!(stats.budget_exhausted);
         mapped.validate().unwrap();
         assert!(
@@ -1584,8 +1320,12 @@ mod tests {
         let mut mapped = Mapper::new(&lib).goal(MapGoal::Area).map(&nl).unwrap();
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let stats = Optimizer::new(&lib, GdoConfig::default())
-            .optimize_with_budget(&mut mapped, &budget)
+        let stats = Pipeline::new(&lib)
+            .run(
+                &OptimizeRequest::new(GdoConfig::default()),
+                &mut mapped,
+                &budget,
+            )
             .unwrap();
         assert!(stats.budget_exhausted);
         assert_eq!(stats.total_mods(), 0);

@@ -36,54 +36,27 @@ pub enum ProverKind {
     SatEquiv,
 }
 
-/// Proves whether `rw` is permissible on the current netlist, with the
-/// default SAT conflict budget (100 000 conflicts per clause query).
+/// Proves whether `rw` is permissible on the current netlist.
+///
+/// `conflict_budget` caps the SAT conflicts of each clause query
+/// ([`GdoConfig::conflict_budget`](crate::GdoConfig::conflict_budget) is
+/// the usual value); exhausting it counts as *not proven*, so
+/// optimization opportunities may be lost but never soundness.
+///
+/// Under a run `budget`, the proof is skipped outright when the budget
+/// is already exhausted, and the budget's interrupt flag and deadline
+/// reach into the SAT search so an in-flight query gives up at its next
+/// conflict. A proof abandoned for budget reasons counts as *not proven*
+/// (never cached as refuted by the optimizer) and bumps the
+/// `prove.budget_refuted` counter. The BDD path is bounded by its own
+/// node limit; the budget is checked before the (bounded) BDD build, and
+/// its SAT fallback honours the interrupt like every other SAT query.
 ///
 /// # Errors
 ///
 /// [`GdoError`] if the scratch application of the rewrite fails
 /// structurally (equivalence-based provers only).
 pub fn prove_rewrite(
-    nl: &Netlist,
-    lib: &Library,
-    rw: &Rewrite,
-    prover: ProverKind,
-) -> Result<bool, GdoError> {
-    prove_rewrite_budgeted(nl, lib, rw, prover, 100_000)
-}
-
-/// Like [`prove_rewrite`] with an explicit SAT conflict budget for the
-/// clause prover. Budget exhaustion counts as *not proven*: optimization
-/// opportunities may be lost but never soundness.
-///
-/// # Errors
-///
-/// Same as [`prove_rewrite`].
-pub fn prove_rewrite_budgeted(
-    nl: &Netlist,
-    lib: &Library,
-    rw: &Rewrite,
-    prover: ProverKind,
-    conflict_budget: u64,
-) -> Result<bool, GdoError> {
-    prove_rewrite_with_budget(nl, lib, rw, prover, conflict_budget, None)
-}
-
-/// Like [`prove_rewrite_budgeted`] under a run [`Budget`]: the proof is
-/// skipped outright when the budget is already exhausted, and the
-/// budget's interrupt flag and deadline reach into the SAT search so an
-/// in-flight query gives up at its next conflict. A proof abandoned for
-/// budget reasons counts as *not proven* (never cached as refuted by the
-/// optimizer) and bumps the `prove.budget_refuted` counter.
-///
-/// The BDD path is bounded by its own node limit; the budget is checked
-/// before the (bounded) BDD build, and its SAT fallback honours the
-/// interrupt like every other SAT query.
-///
-/// # Errors
-///
-/// Same as [`prove_rewrite`].
-pub fn prove_rewrite_with_budget(
     nl: &Netlist,
     lib: &Library,
     rw: &Rewrite,
@@ -186,7 +159,7 @@ fn equiv_to_gdo(e: sat::EquivError) -> GdoError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gate3, RewriteKind, SigLit, Site};
+    use crate::{Gate3, GdoConfig, RewriteKind, SigLit, Site};
     use library::standard_library;
     use netlist::{GateKind, SignalId};
 
@@ -204,6 +177,11 @@ mod tests {
         nl.set_lib(y, Some(lib.find("or2").unwrap().tag())).unwrap();
         nl.add_output("y", y);
         (nl, lib, [a, b, t, y])
+    }
+
+    /// Proves `rw` with the default conflict budget and no run budget.
+    fn prove(nl: &Netlist, lib: &Library, rw: &Rewrite, p: ProverKind) -> bool {
+        prove_rewrite(nl, lib, rw, p, GdoConfig::default().conflict_budget, None).unwrap()
     }
 
     fn all_provers() -> [ProverKind; 3] {
@@ -225,7 +203,7 @@ mod tests {
             kind: RewriteKind::SubConst { value: false },
         };
         for p in all_provers() {
-            assert!(prove_rewrite(&nl, &lib, &rw, p).unwrap(), "{p:?}");
+            assert!(prove(&nl, &lib, &rw, p), "{p:?}");
         }
     }
 
@@ -238,7 +216,7 @@ mod tests {
             kind: RewriteKind::Sub2 { b: SigLit::pos(b) },
         };
         for p in all_provers() {
-            assert!(!prove_rewrite(&nl, &lib, &rw, p).unwrap(), "{p:?}");
+            assert!(!prove(&nl, &lib, &rw, p), "{p:?}");
         }
         let _ = a;
     }
@@ -260,7 +238,7 @@ mod tests {
             kind: RewriteKind::Sub2 { b: SigLit::pos(d1) },
         };
         for p in all_provers() {
-            assert!(prove_rewrite(&nl, &lib, &rw, p).unwrap(), "{p:?}");
+            assert!(prove(&nl, &lib, &rw, p), "{p:?}");
         }
         // And the inverted substitution by the NAND output.
         let rw = Rewrite {
@@ -269,7 +247,7 @@ mod tests {
         };
         // Structural note: n is d2's own fanin, not fanout — legal.
         for p in all_provers() {
-            assert!(prove_rewrite(&nl, &lib, &rw, p).unwrap(), "{p:?}");
+            assert!(prove(&nl, &lib, &rw, p), "{p:?}");
         }
     }
 
@@ -295,7 +273,7 @@ mod tests {
             },
         };
         for p in all_provers() {
-            assert!(prove_rewrite(&nl, &lib, &rw, p).unwrap(), "{p:?}");
+            assert!(prove(&nl, &lib, &rw, p), "{p:?}");
         }
         // A wrong gate type is refuted.
         let rw = Rewrite {
@@ -307,7 +285,7 @@ mod tests {
             },
         };
         for p in all_provers() {
-            assert!(!prove_rewrite(&nl, &lib, &rw, p).unwrap(), "{p:?}");
+            assert!(!prove(&nl, &lib, &rw, p), "{p:?}");
         }
     }
 
@@ -319,7 +297,7 @@ mod tests {
             kind: RewriteKind::SubConst { value: false },
         };
         // A 3-node budget cannot even hold one variable: fallback to SAT.
-        let ok = prove_rewrite(&nl, &lib, &rw, ProverKind::BddEquiv { node_limit: 3 }).unwrap();
+        let ok = prove(&nl, &lib, &rw, ProverKind::BddEquiv { node_limit: 3 });
         assert!(ok);
         let _ = a;
     }

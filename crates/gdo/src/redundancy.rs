@@ -9,7 +9,7 @@
 use crate::bpfs::run_c2;
 use crate::pvcc::const_candidates;
 use crate::transform::apply_rewrite;
-use crate::{prove_rewrite, GdoError, ProverKind, Site};
+use crate::{prove_rewrite, GdoConfig, GdoError, ProverKind, Site};
 use library::Library;
 use netlist::Netlist;
 use sim::{simulate, VectorSet};
@@ -53,6 +53,7 @@ pub fn remove_redundancies(
     seed: u64,
     prover: ProverKind,
 ) -> Result<usize, GdoError> {
+    let conflict_budget = GdoConfig::default().conflict_budget;
     let mut total = 0;
     for pass in 0..64 {
         if nl.inputs().is_empty() || nl.outputs().is_empty() {
@@ -89,14 +90,14 @@ pub fn remove_redundancies(
         }
         let vs = VectorSet::random(nl.inputs().len(), vectors, seed + pass);
         let sim = simulate(nl, &vs)?;
-        let rounds = run_c2(nl, &sim, sites)?;
+        let rounds = run_c2(nl, &sim, sites, 1, None)?;
         let mut applied = 0;
         for round in &rounds {
             for rw in const_candidates(round) {
                 if !rw.is_applicable(nl) {
                     continue;
                 }
-                if prove_rewrite(nl, lib, &rw, prover)? {
+                if prove_rewrite(nl, lib, &rw, prover, conflict_budget, None)? {
                     apply_rewrite(nl, lib, &rw, false)?;
                     applied += 1;
                 }

@@ -594,9 +594,13 @@ pub fn config_digest(req: &OptimizeRequest) -> u64 {
     use fmt::Write;
     let c = &req.cfg;
     let mut s = String::new();
+    // The trailing `false` stands where the removed `legacy_eval` switch
+    // was hashed (it was `false` unless a benchmark set it). Keeping the
+    // literal keeps every digest unchanged, so snapshots and gateway
+    // journals written before the switch was removed still resume.
     let _ = write!(
         s,
-        "{}|{}|{}|{}|{}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{}|{}|{}|{}",
+        "{}|{}|{}|{}|{}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{}|{}|{}|false",
         c.vectors,
         c.seed,
         c.enable_sub3,
@@ -612,7 +616,6 @@ pub fn config_digest(req: &OptimizeRequest) -> u64 {
         c.max_proofs_per_round,
         c.max_delay_rounds,
         c.max_outer_rounds,
-        c.legacy_eval,
     );
     let _ = write!(s, "|{}", EngineId::render_list(&req.engines));
     if let Some(rc) = &req.region {
@@ -1391,5 +1394,22 @@ mod tests {
         let b = rebased_budget(None, None, None, None);
         assert_eq!(b.remaining_work(), None);
         assert!(b.remaining_time().is_none());
+    }
+
+    /// Snapshots and gateway journals carry `config_digest`; these are
+    /// the values earlier releases wrote, so a changed digest would make
+    /// their files refuse to resume.
+    #[test]
+    fn config_digest_matches_earlier_releases() {
+        use crate::{GdoConfig, RegionConstraints};
+        let plain = OptimizeRequest::new(GdoConfig::default());
+        assert_eq!(config_digest(&plain), 0xb081_bfc5_24ce_b562);
+        let region = OptimizeRequest::new(GdoConfig::default())
+            .engines(vec![EngineId::Gdo, EngineId::Resub])
+            .region(RegionConstraints {
+                input_arrivals: vec![1.5],
+                po_required: vec![4.25],
+            });
+        assert_eq!(config_digest(&region), 0xa1dd_8d45_0424_8397);
     }
 }

@@ -1,11 +1,10 @@
 //! Bit-exactness of the parallel BPFS fan-out: for any circuit, any
-//! site/candidate selection and any thread count, `run_c2_threaded` and
-//! `run_c3_threaded` must produce exactly the survival masks of the
-//! serial engine. The parallel decomposition is per-site with an
+//! site/candidate selection and any thread count, `run_c2` and `run_c3`
+//! must produce exactly the survival masks of their one-thread runs. The parallel decomposition is per-site with an
 //! index-ordered merge, so this holds by construction — this test keeps
 //! it that way.
 
-use gdo::{run_c2, run_c2_threaded, run_c3, run_c3_threaded, Gate3, Site, SiteRound, TripleEntry};
+use gdo::{run_c2, run_c3, Gate3, Site, SiteRound, TripleEntry};
 use netlist::{Branch, GateKind, Netlist, SignalId};
 use proptest::prelude::*;
 use sim::{simulate, VectorSet};
@@ -135,16 +134,14 @@ proptest! {
         let vectors = VectorSet::random(nl.inputs().len(), 256, recipe.seed);
         let sim = simulate(&nl, &vectors).expect("acyclic by construction");
 
-        let mut serial = run_c2(&nl, &sim, all_sites(&nl)).expect("serial C2");
+        let mut serial = run_c2(&nl, &sim, all_sites(&nl), 1, None).expect("serial C2");
         let requests: Vec<Vec<TripleEntry>> = serial.iter().map(triple_requests).collect();
-        for (round, triples) in serial.iter_mut().zip(requests.clone()) {
-            run_c3(&nl, &sim, round, triples);
-        }
+        run_c3(&nl, &sim, &mut serial, requests.clone(), 1, None);
 
         for threads in [2usize, 4, 8] {
             let mut par =
-                run_c2_threaded(&nl, &sim, all_sites(&nl), threads).expect("threaded C2");
-            run_c3_threaded(&nl, &sim, &mut par, requests.clone(), threads);
+                run_c2(&nl, &sim, all_sites(&nl), threads, None).expect("threaded C2");
+            run_c3(&nl, &sim, &mut par, requests.clone(), threads, None);
             assert_rounds_equal(&serial, &par)?;
         }
     }

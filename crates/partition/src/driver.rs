@@ -392,12 +392,7 @@ fn run_regions(
     ckpt: Option<&PartCheckpointer<'_>>,
 ) -> Result<Vec<Option<RegionOutcome>>, PartitionError> {
     let n_regions = clustering.regions.len();
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        opts.threads
-    }
-    .min(n_regions.max(1));
+    let threads = gdo::resolve_threads(opts.threads).min(n_regions.max(1));
     // Equal work slice per region; regions that finish under their slice
     // leave the headroom to the shared parent ceiling check.
     let work_slice = cfg.work_limit.map(|w| (w / n_regions.max(1) as u64).max(1));

@@ -159,7 +159,7 @@ pub struct ObservabilityEngine<'a> {
     sim: &'a SimResult,
     plan: Arc<ObsPlan>,
     /// Evaluate the whole topological order per query instead of the
-    /// cone. Same results, kept for baseline benchmarking.
+    /// cone. Same results; only the tests' reference engine sets it.
     full_walk: bool,
     /// Alternative values for cone members, stamped per query.
     alt: Vec<u64>,
@@ -211,13 +211,14 @@ impl<'a> ObservabilityEngine<'a> {
     }
 
     /// Prepares an engine that resimulates the whole netlist per query
-    /// (the pre-levelization behaviour). Only useful as a benchmark
-    /// baseline against the cone-local default.
+    /// (the pre-levelization behaviour): the reference the cone-local
+    /// default is tested against.
     ///
     /// # Errors
     ///
     /// [`NetlistError::CycleDetected`] if `nl` is not a DAG.
-    pub fn new_full_walk(nl: &'a Netlist, sim: &'a SimResult) -> Result<Self, NetlistError> {
+    #[cfg(test)]
+    pub(crate) fn new_full_walk(nl: &'a Netlist, sim: &'a SimResult) -> Result<Self, NetlistError> {
         let mut engine = Self::new(nl, sim)?;
         engine.full_walk = true;
         Ok(engine)

@@ -6,12 +6,17 @@
 //! cargo run -p gdo --example substitutions
 //! ```
 
-use gdo::{apply_rewrite, prove_rewrite, ProverKind, Rewrite, RewriteKind, SigLit, Site};
+use gdo::{
+    apply_rewrite, prove_rewrite, GdoConfig, ProverKind, Rewrite, RewriteKind, SigLit, Site,
+};
 use library::standard_library;
 use netlist::{Branch, GateKind, Netlist};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = standard_library();
+    // SAT conflicts allowed per clause query; running out counts as "not
+    // proven", never as proven.
+    let conflict_budget = GdoConfig::default().conflict_budget;
 
     // Circuit with a duplicated function: d1 = AND(a, b) directly,
     // d2 = NOT(NAND(a, b)) — same value on every input vector.
@@ -36,7 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kind: RewriteKind::Sub2 { b: SigLit::pos(d1) },
     };
     println!("proving {os2} ...");
-    assert!(prove_rewrite(&nl, &lib, &os2, ProverKind::SatClause)?);
+    assert!(prove_rewrite(
+        &nl,
+        &lib,
+        &os2,
+        ProverKind::SatClause,
+        conflict_budget,
+        None
+    )?);
     apply_rewrite(&mut nl, &lib, &os2, true)?;
     println!(
         "applied; gates: {} -> pruned the NAND/NOT cone",
@@ -63,7 +75,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         kind: RewriteKind::Sub2 { b: SigLit::pos(a) },
     };
     println!("proving {is2} ...");
-    assert!(prove_rewrite(&nl2, &lib, &is2, ProverKind::SatClause)?);
+    assert!(prove_rewrite(
+        &nl2,
+        &lib,
+        &is2,
+        ProverKind::SatClause,
+        conflict_budget,
+        None
+    )?);
     apply_rewrite(&mut nl2, &lib, &is2, true)?;
     assert!(reference2.equiv_exhaustive(&nl2)?);
     println!(
@@ -76,7 +95,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         site: Site::Stem(d1),
         kind: RewriteKind::Sub2 { b: SigLit::pos(a) },
     };
-    assert!(!prove_rewrite(&nl, &lib, &bad, ProverKind::SatClause)?);
+    assert!(!prove_rewrite(
+        &nl,
+        &lib,
+        &bad,
+        ProverKind::SatClause,
+        conflict_budget,
+        None
+    )?);
     println!("impermissible {bad} correctly refuted");
     Ok(())
 }

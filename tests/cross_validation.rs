@@ -40,7 +40,7 @@ fn bpfs_exhaustive_equals_sat_prover() {
                 )
             })
             .collect();
-        let rounds = gdo::run_c2(&nl, &sim, site_cands).expect("acyclic");
+        let rounds = gdo::run_c2(&nl, &sim, site_cands, 1, None).expect("acyclic");
         for round in &rounds {
             let Site::Stem(a) = round.site else {
                 unreachable!()

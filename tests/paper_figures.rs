@@ -1,9 +1,17 @@
 //! The paper's worked examples (Figures 1–4) as executable checks.
 
-use gdo::{apply_rewrite, prove_rewrite, Gate3, ProverKind, Rewrite, RewriteKind, SigLit, Site};
-use library::standard_library;
+use gdo::{
+    apply_rewrite, prove_rewrite, Gate3, GdoConfig, ProverKind, Rewrite, RewriteKind, SigLit, Site,
+};
+use library::{standard_library, Library};
 use netlist::{Branch, GateKind, Netlist, SignalId};
 use sat::{CircuitCnf, ClauseProver, SatResult};
+
+/// Proves `rw` with the clause prover under the default conflict budget.
+fn proves(nl: &Netlist, lib: &Library, rw: &Rewrite) -> bool {
+    let conflict_budget = GdoConfig::default().conflict_budget;
+    prove_rewrite(nl, lib, rw, ProverKind::SatClause, conflict_budget, None).expect("proves")
+}
 
 /// Figure 1: d = AND(a, b); e = NOT(c); f = OR(d, e).
 fn fig1() -> (Netlist, [SignalId; 6]) {
@@ -99,7 +107,7 @@ fn fig2_and_insertion() {
             c: u,
         },
     };
-    assert!(prove_rewrite(&nl, &lib, &rw, ProverKind::SatClause).expect("proves"));
+    assert!(proves(&nl, &lib, &rw));
     apply_rewrite(&mut nl, &lib, &rw, true).expect("applies");
     nl.validate().expect("sound");
     assert!(reference.equiv_exhaustive(&nl).expect("small"));
@@ -134,7 +142,7 @@ fn fig3_os2_and_is2() {
         site: Site::Stem(a),
         kind: RewriteKind::Sub2 { b: SigLit::pos(b) },
     };
-    assert!(prove_rewrite(&nl, &lib, &os2, ProverKind::SatClause).expect("proves"));
+    assert!(proves(&nl, &lib, &os2));
     let gates_before = nl.stats().gates;
     apply_rewrite(&mut nl, &lib, &os2, true).expect("applies");
     nl.validate().expect("sound");
@@ -155,7 +163,7 @@ fn fig3_os2_and_is2() {
         site: Site::Branch(Branch { cell: g1, pin: 0 }),
         kind: RewriteKind::Sub2 { b: SigLit::pos(a2) },
     };
-    assert!(prove_rewrite(&nl, &lib, &is2, ProverKind::SatClause).expect("proves"));
+    assert!(proves(&nl, &lib, &is2));
     apply_rewrite(&mut nl, &lib, &is2, true).expect("applies");
     nl.validate().expect("sound");
     assert!(reference.equiv_exhaustive(&nl).expect("small"));
@@ -193,7 +201,7 @@ fn fig4_os3_with_and() {
             c: q,
         },
     };
-    assert!(prove_rewrite(&nl, &lib, &os3, ProverKind::SatClause).expect("proves"));
+    assert!(proves(&nl, &lib, &os3));
     apply_rewrite(&mut nl, &lib, &os3, true).expect("applies");
     nl.validate().expect("sound");
     assert!(reference.equiv_exhaustive(&nl).expect("small"));
