@@ -17,7 +17,7 @@ use crate::budget::{Budget, Phase, VerifyPolicy};
 use crate::optimizer::{total_area, GdoConfig, GdoEngine, GdoStats, RegionConstraints};
 use crate::resub::ResubEngine;
 use crate::snapshot::{self, CheckpointSpec, Checkpointer, RunSnapshot, SnapshotError};
-use crate::{GdoError, Rewrite, RewriteKind};
+use crate::{CexPool, GdoError, Rewrite, RewriteKind};
 use library::Library;
 use netlist::{GateKind, Netlist};
 use std::collections::HashSet;
@@ -218,6 +218,7 @@ pub struct OptimizeContext<'r, 'l> {
     pub(crate) net: &'r mut SafetyNet,
     pub(crate) seed: &'r mut u64,
     pub(crate) refuted: &'r mut HashSet<Rewrite>,
+    pub(crate) cex: &'r mut CexPool,
     pub(crate) enable_xor: bool,
     pub(crate) ckpt: &'r mut Checkpointer,
 }
@@ -392,6 +393,10 @@ impl<'a> Pipeline<'a> {
         // on the vector sample. Engines skip re-proving cached
         // refutations and clear the cache on every applied rewrite.
         let mut refuted: HashSet<Rewrite> = HashSet::new();
+        // SAT counterexamples of this run, replayed against later proof
+        // candidates. A pure cache: never snapshotted, so a resumed leg
+        // starts empty and still reaches the same verdicts.
+        let mut cex = CexPool::new();
         let mut quarantine_restore: Vec<RewriteClass> = Vec::new();
         if let Some(snap) = &req.resume_from {
             // Timing cross-check: the rebuilt graph must reproduce the
@@ -454,6 +459,7 @@ impl<'a> Pipeline<'a> {
                 net: &mut net,
                 seed: &mut seed_counter,
                 refuted: &mut refuted,
+                cex: &mut cex,
                 enable_xor,
                 ckpt: &mut ckpt,
             };

@@ -65,6 +65,7 @@
 mod bpfs;
 mod budget;
 mod candidates;
+mod cex;
 mod engine;
 mod error;
 mod optimizer;
@@ -83,6 +84,7 @@ pub use budget::{Budget, CancelHandle, Phase, VerifyPolicy};
 pub use candidates::{
     pair_candidates, pair_candidates_counted, CandidateConfig, CandidateContext, CandidateCounts,
 };
+pub use cex::CexPool;
 pub use engine::{Engine, EngineCounters, EngineId, OptimizeContext, OptimizeRequest, Pipeline};
 pub use error::GdoError;
 pub use optimizer::{

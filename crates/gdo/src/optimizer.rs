@@ -493,6 +493,8 @@ fn delay_round(ctx: &mut OptimizeContext<'_, '_>, use_c3: bool) -> Result<usize,
     if ctx.tg.circuit_delay() <= 0.0 {
         return Ok(0);
     }
+    // Another engine may have edited the netlist since the last round.
+    ctx.cex.invalidate();
     let (nl, tg) = (&*ctx.nl, &*ctx.tg);
     let cp = CriticalPaths::count(nl, tg)?;
     let cands = CandidateContext::build(nl)?;
@@ -662,6 +664,7 @@ fn area_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
     if ctx.nl.outputs().is_empty() || ctx.nl.inputs().is_empty() {
         return Ok(0);
     }
+    ctx.cex.invalidate();
     let (nl, tg) = (&*ctx.nl, &*ctx.tg);
     let cands = CandidateContext::build(nl)?;
     let baseline_delay = tg.circuit_delay();
@@ -850,12 +853,14 @@ enum Verdict {
 /// The prove → refutation cache → apply bookkeeping both phases share.
 ///
 /// A rewrite the cache already refuted is rejected without a proof; the
-/// rest are charged to the budget and proved. A genuine refutation is
+/// rest are charged to the budget and proved, first by replaying the
+/// run's counterexample pool, then by SAT. A genuine refutation is
 /// cached, one the budget caused is not. A proved rewrite goes to
 /// `apply`, which edits the netlist, folds the edit into the timing
-/// graph and returns `false` if it had to revert. A kept rewrite clears
-/// the cache (the circuit changed), passes the safety net, and is
-/// tallied and journaled.
+/// graph and returns `false` if it had to revert; the pool's simulation
+/// is dropped after every attempt. A kept rewrite clears the cache (the
+/// circuit changed), passes the safety net, and is tallied and
+/// journaled.
 fn prove_and_apply(
     ctx: &mut OptimizeContext<'_, '_>,
     rw: Rewrite,
@@ -878,6 +883,7 @@ fn prove_and_apply(
         cfg.prover,
         cfg.conflict_budget,
         Some(ctx.budget),
+        Some(ctx.cex),
     )? {
         if ctx.budget.is_exhausted() {
             // An interrupted proof is not a genuine refutation: do not
@@ -890,7 +896,10 @@ fn prove_and_apply(
     ctx.stats.proofs_valid += 1;
     ctx.stats.engines[EngineId::Gdo.index()].proved += 1;
     telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proved), 1);
-    if !apply(ctx)? {
+    let kept = apply(ctx);
+    // Kept, reverted or (below) rolled back, the netlist is a new version.
+    ctx.cex.invalidate();
+    if !kept? {
         return Ok(Verdict::Rejected);
     }
     ctx.refuted.clear();

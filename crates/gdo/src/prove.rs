@@ -15,10 +15,10 @@
 //!   "ATPG ... enables the optimization of circuits for which BDD
 //!   representations become too large".
 
-use crate::{transform, Budget, GdoError, Rewrite};
+use crate::{transform, Budget, CexPool, GdoError, Rewrite};
 use library::Library;
 use netlist::Netlist;
-use sat::ClauseProver;
+use sat::{ClauseProver, ClauseVerdict};
 
 /// Which engine proves PVCC validity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +52,13 @@ pub enum ProverKind {
 /// node limit; the budget is checked before the (bounded) BDD build, and
 /// its SAT fallback honours the interrupt like every other SAT query.
 ///
+/// With a counterexample `pool`, the rewrite is first replayed against
+/// the pool's earlier SAT witnesses ([`CexPool::refutes`]); a witness
+/// that refutes it settles the proof without a SAT call (counted on
+/// `prove.cex_refuted`). Every witness the SAT prover finds joins the
+/// pool. The pool never changes a verdict, only what it costs; the
+/// caller invalidates it whenever the netlist changes.
+///
 /// # Errors
 ///
 /// [`GdoError`] if the scratch application of the rewrite fails
@@ -63,11 +70,18 @@ pub fn prove_rewrite(
     prover: ProverKind,
     conflict_budget: u64,
     budget: Option<&Budget>,
+    mut pool: Option<&mut CexPool>,
 ) -> Result<bool, GdoError> {
     let _span = telemetry::span("gdo.prove");
     if budget.is_some_and(Budget::is_exhausted) {
         telemetry::counter_add("prove.budget_refuted", 1);
         return Ok(false);
+    }
+    if let Some(pool) = pool.as_deref_mut() {
+        if pool.refutes(nl, rw)? {
+            telemetry::counter_add("prove.cex_refuted", 1);
+            return Ok(false);
+        }
     }
     match prover {
         ProverKind::SatClause => {
@@ -83,7 +97,23 @@ pub fn prove_rewrite(
             if let Some(b) = budget {
                 p.set_interrupt(b.interrupt_flag(), b.deadline());
             }
-            let valid = clauses.iter().all(|clause| p.is_valid(clause));
+            let mut valid = true;
+            for clause in &clauses {
+                match p.check(clause) {
+                    ClauseVerdict::Valid => {}
+                    ClauseVerdict::Refuted(witness) => {
+                        if let Some(pool) = pool {
+                            pool.push(nl, &witness);
+                        }
+                        valid = false;
+                        break;
+                    }
+                    ClauseVerdict::Unknown => {
+                        valid = false;
+                        break;
+                    }
+                }
+            }
             record_sat_stats(p.stats());
             if !valid && budget.is_some_and(Budget::is_exhausted) {
                 // The failure is (at least partly) the budget's doing:
@@ -181,7 +211,16 @@ mod tests {
 
     /// Proves `rw` with the default conflict budget and no run budget.
     fn prove(nl: &Netlist, lib: &Library, rw: &Rewrite, p: ProverKind) -> bool {
-        prove_rewrite(nl, lib, rw, p, GdoConfig::default().conflict_budget, None).unwrap()
+        prove_rewrite(
+            nl,
+            lib,
+            rw,
+            p,
+            GdoConfig::default().conflict_budget,
+            None,
+            None,
+        )
+        .unwrap()
     }
 
     fn all_provers() -> [ProverKind; 3] {

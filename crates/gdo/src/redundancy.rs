@@ -9,7 +9,7 @@
 use crate::bpfs::run_c2;
 use crate::pvcc::const_candidates;
 use crate::transform::apply_rewrite;
-use crate::{prove_rewrite, GdoConfig, GdoError, ProverKind, Site};
+use crate::{prove_rewrite, CexPool, GdoConfig, GdoError, ProverKind, Site};
 use library::Library;
 use netlist::Netlist;
 use sim::{simulate, VectorSet};
@@ -54,6 +54,7 @@ pub fn remove_redundancies(
     prover: ProverKind,
 ) -> Result<usize, GdoError> {
     let conflict_budget = GdoConfig::default().conflict_budget;
+    let mut pool = CexPool::new();
     let mut total = 0;
     for pass in 0..64 {
         if nl.inputs().is_empty() || nl.outputs().is_empty() {
@@ -97,8 +98,9 @@ pub fn remove_redundancies(
                 if !rw.is_applicable(nl) {
                     continue;
                 }
-                if prove_rewrite(nl, lib, &rw, prover, conflict_budget, None)? {
+                if prove_rewrite(nl, lib, &rw, prover, conflict_budget, None, Some(&mut pool))? {
                     apply_rewrite(nl, lib, &rw, false)?;
+                    pool.invalidate();
                     applied += 1;
                 }
             }

@@ -47,6 +47,6 @@ pub use cnf::{Cnf, Lit, Var};
 pub use dimacs::{parse_dimacs, solver_from_cnf, write_dimacs, DimacsError};
 pub use encode::CircuitCnf;
 pub use miter::{build_miter, check_equiv, check_equiv_stats, EquivError};
-pub use prove::{ClauseProver, FaultSite};
+pub use prove::{ClauseProver, ClauseVerdict, FaultSite};
 pub use solver::{Model, SatResult, Solver, SolverStats};
 pub use sweep::{check_equiv_sweep, check_equiv_sweep_stats, SweepStats};

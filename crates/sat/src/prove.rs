@@ -65,7 +65,23 @@ impl From<Branch> for FaultSite {
 pub struct ClauseProver {
     enc: CircuitCnf,
     obs: Lit,
+    /// Variables of the primary inputs, in [`Netlist::inputs`] order.
+    inputs: Vec<Var>,
     conflict_budget: u64,
+}
+
+/// The outcome of one budgeted [`ClauseProver::check`] query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClauseVerdict {
+    /// No input vector makes the site observable with every literal
+    /// false: the clause is valid.
+    Valid,
+    /// A primary-input assignment, in [`Netlist::inputs`] order, under
+    /// which the site is observable and every literal is false.
+    Refuted(Vec<bool>),
+    /// The conflict budget ran out, or the interrupt flag or deadline
+    /// stopped the search, before either answer was found.
+    Unknown,
 }
 
 impl ClauseProver {
@@ -142,7 +158,7 @@ impl ClauseProver {
         };
         // Collect the cone: gates whose faulty value can differ.
         let mut faulty: HashMap<SignalId, Var> = HashMap::new();
-        let seed_cells: Vec<SignalId> = match site {
+        match site {
             FaultSite::Stem(a) => {
                 if !nl.is_live(a) {
                     return Err(NetlistError::DeadSignal(a));
@@ -153,7 +169,6 @@ impl ClauseProver {
                 enc.solver_mut().add_clause(&[Lit::pos(fa), Lit::pos(av)]);
                 enc.solver_mut().add_clause(&[Lit::neg(fa), Lit::neg(av)]);
                 faulty.insert(a, fa);
-                Vec::new()
             }
             FaultSite::Branch(branch) => {
                 let src = nl.branch_source(branch)?;
@@ -178,10 +193,8 @@ impl ClauseProver {
                     .collect();
                 enc.encode_function(fc, nl.kind(c), &ins);
                 faulty.insert(c, fc);
-                vec![c]
             }
-        };
-        let _ = seed_cells;
+        }
 
         // Propagate the fault through the cone in topological order.
         let order = nl.topo_order()?;
@@ -203,19 +216,14 @@ impl ClauseProver {
             faulty.insert(s, fs);
         }
 
-        // O_a: some primary output differs between good and faulty copies.
+        // O_a: some primary output differs between good and faulty copies
+        // (a PO driven by a stem site itself sees its faulty variable).
         let mut diffs: Vec<Lit> = Vec::new();
         for po in nl.outputs() {
             let d = po.driver();
-            let in_cone = match site {
-                // For a stem fault, the PO itself seeing `a` directly also
-                // counts (a drives the PO through its faulty var).
-                FaultSite::Stem(_) | FaultSite::Branch(_) => faulty.contains_key(&d),
-            };
-            if in_cone {
+            if let Some(&fv) = faulty.get(&d) {
                 let diff = enc.new_aux();
                 let gv = enc.var(d);
-                let fv = faulty[&d];
                 crate::encode::encode_xor2(enc.solver_mut(), diff, gv, fv);
                 diffs.push(Lit::pos(diff));
             }
@@ -228,9 +236,11 @@ impl ClauseProver {
         for &d in &diffs {
             enc.solver_mut().add_clause(&[!d, obs]);
         }
+        let inputs = nl.inputs().iter().map(|&pi| enc.var(pi)).collect();
         Ok(ClauseProver {
             enc,
             obs,
+            inputs,
             conflict_budget: 100_000,
         })
     }
@@ -260,12 +270,14 @@ impl ClauseProver {
         }
     }
 
-    /// Decides whether the clause `(!O_a + lits...)` is valid, where each
-    /// entry `(s, positive)` contributes the literal `s` or `!s`.
+    /// Decides the clause `(!O_a + lits...)`, where each entry
+    /// `(s, positive)` contributes the literal `s` or `!s`, within the
+    /// conflict budget and the interrupt set by
+    /// [`set_interrupt`](Self::set_interrupt).
     ///
-    /// Returns `true` iff no input vector makes the site observable with
-    /// all listed literals false.
-    pub fn is_valid(&mut self, lits: &[(SignalId, bool)]) -> bool {
+    /// A refutation carries its witness: the primary-input vector the
+    /// solver found, so callers can replay it through a simulator.
+    pub fn check(&mut self, lits: &[(SignalId, bool)]) -> ClauseVerdict {
         let mut assumptions = vec![self.obs];
         for &(s, positive) in lits {
             // The literal must be FALSE in a counterexample.
@@ -273,42 +285,24 @@ impl ClauseProver {
         }
         let budget = self.conflict_budget;
         match self.enc.solver_mut().solve_limited(&assumptions, budget) {
-            Some(SatResult::Sat(_)) => false,
-            Some(SatResult::Unsat) => true,
-            // Budget exhausted: conservatively not proven valid.
-            None => false,
+            Some(SatResult::Sat(model)) => {
+                ClauseVerdict::Refuted(self.inputs.iter().map(|&v| model.var_value(v)).collect())
+            }
+            Some(SatResult::Unsat) => ClauseVerdict::Valid,
+            None => ClauseVerdict::Unknown,
         }
     }
 
-    /// Like [`is_valid`](Self::is_valid) but returns the counterexample
-    /// input assignment when the clause is invalid (useful for debugging
-    /// and for cross-checking the simulator).
-    pub fn counterexample(&mut self, nl: &Netlist, lits: &[(SignalId, bool)]) -> Option<Vec<bool>> {
-        let mut assumptions = vec![self.obs];
-        for &(s, positive) in lits {
-            assumptions.push(self.enc.lit(s, !positive));
-        }
-        match self.enc.solver_mut().solve(&assumptions) {
-            SatResult::Sat(model) => Some(
-                nl.inputs()
-                    .iter()
-                    .map(|&pi| model.var_value(self.enc.var(pi)))
-                    .collect(),
-            ),
-            SatResult::Unsat => None,
-        }
+    /// The boolean view of [`check`](Self::check): `true` iff the clause
+    /// is proven valid. A refuted clause and an unknown one (budget or
+    /// interrupt) both read as *not proven valid*.
+    pub fn is_valid(&mut self, lits: &[(SignalId, bool)]) -> bool {
+        self.check(lits) == ClauseVerdict::Valid
     }
 
     /// Total solver conflicts so far (cost metric).
     #[must_use]
     pub fn conflicts(&self) -> u64 {
-        // Accessing through the encoding keeps Solver private fields
-        // encapsulated.
-        self.enc_conflicts()
-    }
-
-    fn enc_conflicts(&self) -> u64 {
-        // CircuitCnf exposes its solver mutably only; a read path:
         self.enc.solver_ref().conflicts()
     }
 
@@ -357,14 +351,32 @@ mod tests {
 
     #[test]
     fn counterexample_is_a_real_witness() {
-        let (nl, [a, b, _c, _d, _e, _f]) = fig1();
+        let (nl, [a, b, c, _d, _e, _f]) = fig1();
         let mut p = ClauseProver::new(&nl, a.into()).unwrap();
         // (!O_a + !b) is invalid: a observable forces b=1, so !b never
         // rescues the clause.
-        let cex = p.counterexample(&nl, &[(b, false)]).unwrap();
+        let ClauseVerdict::Refuted(cex) = p.check(&[(b, false)]) else {
+            panic!("(!O_a + !b) must be refuted");
+        };
+        assert_eq!(cex.len(), nl.inputs().len());
+        let input = |s: SignalId| cex[nl.inputs().iter().position(|&i| i == s).unwrap()];
         // In the witness, b must be 1 (observability) — the literal !b is
-        // false, and a must be observable.
-        assert!(cex[1], "witness must set b so a is observable");
+        // false, and a must be observable: the OR side input e = !c must
+        // be 0, so c = 1.
+        assert!(input(b), "witness must set b so a is observable");
+        assert!(input(c), "witness must open the OR for d");
+        // The valid clause (!O_a + b) has no witness.
+        assert_eq!(p.check(&[(b, true)]), ClauseVerdict::Valid);
+    }
+
+    #[test]
+    fn raised_interrupt_yields_unknown_without_panicking() {
+        let (nl, [a, b, _c, _d, _e, _f]) = fig1();
+        let mut p = ClauseProver::new(&nl, a.into()).unwrap();
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        p.set_interrupt(flag, None);
+        assert_eq!(p.check(&[(b, false)]), ClauseVerdict::Unknown);
+        assert!(!p.is_valid(&[(b, true)]));
     }
 
     #[test]

@@ -231,6 +231,13 @@ impl Solver {
     /// Assumptions hold for this call only. The solver state (learned
     /// clauses, activities) persists across calls, making repeated queries
     /// on the same formula cheap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an interrupt ([`set_interrupt`](Self::set_interrupt) or
+    /// [`set_deadline`](Self::set_deadline)) stops the search; a solver
+    /// carrying one must be queried with
+    /// [`solve_limited`](Self::solve_limited).
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
         self.solve_limited(assumptions, u64::MAX)
             .expect("unlimited solve always concludes")
@@ -481,14 +488,8 @@ impl Solver {
         // clause is absorbed by the rest of the learnt clause (every other
         // literal already seen, or false at level 0). Conservative and
         // sound; shrinks learnt clauses noticeably on structured CNF.
-        let minimize = std::env::var_os("SAT_NO_MIN").is_none();
         let mut j = 1;
         for i in 1..learnt.len() {
-            if !minimize {
-                learnt[j] = learnt[i];
-                j += 1;
-                continue;
-            }
             let q = learnt[i];
             let r = self.reason[q.var().index()];
             let redundant = r != NO_REASON

@@ -27,6 +27,56 @@ impl SimResult {
     pub fn bit(&self, s: SignalId, v: usize) -> bool {
         self.value(s)[v / 64] >> (v % 64) & 1 == 1
     }
+
+    /// Re-simulates word `w` of every signal from `vectors`, leaving the
+    /// other words alone — the update after
+    /// [`VectorSet::set_vector`] rewrote a lane of that word. `plan` must
+    /// levelize the netlist this result was simulated on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vectors` or `plan` do not match this result's netlist
+    /// and word count.
+    pub fn resimulate_word(&mut self, nl: &Netlist, plan: &ObsPlan, vectors: &VectorSet, w: usize) {
+        assert_eq!(
+            vectors.n_words(),
+            self.n_words,
+            "vector set of another size"
+        );
+        let n_words = self.n_words;
+        for (i, &pi) in nl.inputs().iter().enumerate() {
+            self.values[pi.index() * n_words + w] = vectors.input_words(i)[w];
+        }
+        let mut fanin_buf: Vec<u64> = Vec::new();
+        for &s in &plan.topo {
+            let kind = nl.kind(s);
+            if kind != GateKind::Input {
+                self.values[s.index() * n_words + w] =
+                    eval_word(kind, nl.fanins(s), &self.values, n_words, w, &mut fanin_buf);
+            }
+        }
+    }
+}
+
+/// Word `w` of a non-input gate of `kind` over `fanins`, read from the
+/// word rows in `values`.
+fn eval_word(
+    kind: GateKind,
+    fanins: &[SignalId],
+    values: &[u64],
+    n_words: usize,
+    w: usize,
+    fanin_buf: &mut Vec<u64>,
+) -> u64 {
+    match kind {
+        GateKind::Const0 => 0,
+        GateKind::Const1 => !0,
+        _ => {
+            fanin_buf.clear();
+            fanin_buf.extend(fanins.iter().map(|f| values[f.index() * n_words + w]));
+            kind.eval_words(fanin_buf)
+        }
+    }
 }
 
 /// Simulates all vectors through the netlist, bit-parallel.
@@ -56,18 +106,13 @@ pub fn simulate(nl: &Netlist, vectors: &VectorSet) -> Result<SimResult, NetlistE
     let mut fanin_buf: Vec<u64> = Vec::new();
     for &s in &order {
         let kind = nl.kind(s);
-        match kind {
-            GateKind::Input => {}
-            GateKind::Const0 => values[s.index() * n_words..(s.index() + 1) * n_words].fill(0),
-            GateKind::Const1 => values[s.index() * n_words..(s.index() + 1) * n_words].fill(!0),
-            _ => {
-                let fanins = nl.fanins(s).to_vec();
-                for w in 0..n_words {
-                    fanin_buf.clear();
-                    fanin_buf.extend(fanins.iter().map(|f| values[f.index() * n_words + w]));
-                    values[s.index() * n_words + w] = kind.eval_words(&fanin_buf);
-                }
-            }
+        if kind == GateKind::Input {
+            continue;
+        }
+        let fanins = nl.fanins(s);
+        for w in 0..n_words {
+            values[s.index() * n_words + w] =
+                eval_word(kind, fanins, &values, n_words, w, &mut fanin_buf);
         }
     }
     Ok(SimResult { n_words, values })
@@ -567,6 +612,21 @@ mod tests {
         let mut shared = ObservabilityEngine::with_plan(&nl, &sim, plan);
         for s in sigs {
             assert_eq!(own.observability(s), shared.observability(s));
+        }
+    }
+
+    #[test]
+    fn resimulate_word_matches_full_simulation() {
+        let (nl, sigs) = fig1();
+        let plan = ObsPlan::new(&nl).unwrap();
+        let mut vectors = VectorSet::random(3, 192, 9);
+        let mut sim = simulate(&nl, &vectors).unwrap();
+        vectors.set_vector(70, &[true, true, false]);
+        vectors.set_vector(71, &[false, false, false]);
+        sim.resimulate_word(&nl, &plan, &vectors, 1);
+        let full = simulate(&nl, &vectors).unwrap();
+        for s in sigs {
+            assert_eq!(sim.value(s), full.value(s), "signal {s}");
         }
     }
 

@@ -96,6 +96,39 @@ impl VectorSet {
         }
     }
 
+    /// An all-zero set of `n_vectors` vectors (rounded up to a multiple
+    /// of 64), to be filled lane by lane with
+    /// [`set_vector`](Self::set_vector) — e.g. a pool of SAT
+    /// counterexamples replayed together.
+    #[must_use]
+    pub fn zeros(n_inputs: usize, n_vectors: usize) -> Self {
+        let n_words = n_vectors.div_ceil(64).max(1);
+        VectorSet {
+            n_inputs,
+            n_words,
+            words: vec![0; n_inputs * n_words],
+        }
+    }
+
+    /// Overwrites vector `v` with `assignment` (one value per input).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignment.len() != n_inputs` or `v >= n_vectors`.
+    pub fn set_vector(&mut self, v: usize, assignment: &[bool]) {
+        assert_eq!(assignment.len(), self.n_inputs, "assignment width");
+        assert!(v < self.n_vectors(), "vector {v} out of range");
+        let (w, bit) = (v / 64, 1u64 << (v % 64));
+        for (i, &value) in assignment.iter().enumerate() {
+            let word = &mut self.words[i * self.n_words + w];
+            if value {
+                *word |= bit;
+            } else {
+                *word &= !bit;
+            }
+        }
+    }
+
     /// Number of primary inputs the set was built for.
     #[must_use]
     pub fn n_inputs(&self) -> usize {
@@ -188,6 +221,27 @@ mod tests {
             assert!(!v.bit(1, lane));
             assert!(v.bit(2, lane));
         }
+    }
+
+    #[test]
+    fn set_vector_writes_one_lane() {
+        let mut v = VectorSet::zeros(3, 256);
+        assert_eq!(v.n_words(), 4);
+        v.set_vector(130, &[true, false, true]);
+        v.set_vector(5, &[false, true, false]);
+        for lane in 0..256 {
+            let want = match lane {
+                130 => [true, false, true],
+                5 => [false, true, false],
+                _ => [false; 3],
+            };
+            for (i, &bit) in want.iter().enumerate() {
+                assert_eq!(v.bit(i, lane), bit, "input {i} lane {lane}");
+            }
+        }
+        // Overwriting clears the bits the new assignment does not set.
+        v.set_vector(130, &[false, false, true]);
+        assert!(!v.bit(0, 130) && v.bit(2, 130));
     }
 
     #[test]

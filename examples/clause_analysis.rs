@@ -6,7 +6,7 @@
 //! ```
 
 use netlist::{GateKind, Netlist};
-use sat::{CircuitCnf, ClauseProver, SatResult};
+use sat::{CircuitCnf, ClauseProver, ClauseVerdict, SatResult};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 1: d = AND(a, b); e = NOT(c); f = OR(d, e).
@@ -42,10 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A clause that is NOT valid: (!O_a + a) would mean a is stuck-at-1
     // redundant, which it is not in this circuit.
     let mut prover = ClauseProver::new(&nl, a.into())?;
-    assert!(!prover.is_valid(&[(a, true)]));
-    let witness = prover
-        .counterexample(&nl, &[(a, true)])
-        .expect("invalid clause");
+    let ClauseVerdict::Refuted(witness) = prover.check(&[(a, true)]) else {
+        panic!("(!O_a + a) must be refuted");
+    };
     println!(
         "clause (!O_a + a) is invalid; witness input vector (a,b,c) = {:?}",
         witness

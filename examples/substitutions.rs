@@ -47,6 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &os2,
         ProverKind::SatClause,
         conflict_budget,
+        None,
         None
     )?);
     apply_rewrite(&mut nl, &lib, &os2, true)?;
@@ -81,6 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &is2,
         ProverKind::SatClause,
         conflict_budget,
+        None,
         None
     )?);
     apply_rewrite(&mut nl2, &lib, &is2, true)?;
@@ -101,6 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &bad,
         ProverKind::SatClause,
         conflict_budget,
+        None,
         None
     )?);
     println!("impermissible {bad} correctly refuted");

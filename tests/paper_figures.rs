@@ -10,7 +10,16 @@ use sat::{CircuitCnf, ClauseProver, SatResult};
 /// Proves `rw` with the clause prover under the default conflict budget.
 fn proves(nl: &Netlist, lib: &Library, rw: &Rewrite) -> bool {
     let conflict_budget = GdoConfig::default().conflict_budget;
-    prove_rewrite(nl, lib, rw, ProverKind::SatClause, conflict_budget, None).expect("proves")
+    prove_rewrite(
+        nl,
+        lib,
+        rw,
+        ProverKind::SatClause,
+        conflict_budget,
+        None,
+        None,
+    )
+    .expect("proves")
 }
 
 /// Figure 1: d = AND(a, b); e = NOT(c); f = OR(d, e).
