@@ -10,38 +10,31 @@
 //! ```
 //!
 //! Binds three listeners and prints one line per bound address:
-//! `listening HOST:PORT` (clients, same NDJSON protocol as
-//! `gdo-served`), `workers HOST:PORT` (`gdo-worker` registrations), and
+//! `listening HOST:PORT` (clients, the NDJSON protocol `gdo-submit`
+//! speaks), `workers HOST:PORT` (`gdo-worker` registrations), and
 //! `http HOST:PORT` (plain-text `/metrics` and `/status`). Serves until
-//! a client sends `{"op":"drain"}`.
+//! a client sends `{"op":"drain"}`. It is the gateway `gdo-served` runs,
+//! with remote workers instead of in-process ones.
 
-use gateway::{Gateway, GatewayConfig, ShedConfig};
+use gateway::cli::{self, number, value};
+use gateway::{Gateway, GatewayConfig};
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 fn usage() -> String {
-    "usage: gdo-gateway [options]\n\
-     \n\
-     options:\n\
-       --addr HOST:PORT        client listen address (default 127.0.0.1:0)\n\
-       --worker-addr HOST:PORT worker listen address (default 127.0.0.1:0)\n\
-       --http-addr HOST:PORT   /metrics and /status address (default 127.0.0.1:0)\n\
-       --queue-cap N           bounded queue capacity (default 16)\n\
-       --library FILE          genlib cell library (default: built-in);\n\
-                               workers must carry an identical one\n\
-       --verify POLICY         default verify policy: off|final|each|every:N (default final)\n\
-       --seed N                default BPFS seed (default 1995)\n\
-       --journal-dir DIR       durable job journal (WAL, checkpoints, recovery);\n\
-                               must be visible to workers for checkpoint resume\n\
-       --cache-dir DIR         persistent result cache directory (default: in-memory)\n\
-       --cache-cap N           result cache capacity in entries, 0 disables (default 64)\n\
-       --work-ceiling UNITS    aggregate granted-work ceiling for load shedding\n\
-       --heartbeat-ms MS       worker heartbeat interval (default 2000)\n\
-       --retry-max N           worker-panic retries before a job is poisoned (default 2)\n\
-       --help                  print this help\n"
-        .to_string()
+    format!(
+        "usage: gdo-gateway [options]\n\noptions:\n{}{}",
+        cli::SHARED_USAGE,
+        "  --worker-addr HOST:PORT  worker listen address (default 127.0.0.1:0)
+  --http-addr HOST:PORT    /metrics and /status address (default 127.0.0.1:0)
+  --cache-dir DIR          persistent result cache directory (default: in-memory)
+  --cache-cap N            result cache capacity in entries, 0 disables (default 64)
+  --heartbeat-ms MS        worker heartbeat interval (default 2000)
+  --help                   print this help
+"
+    )
 }
 
 struct Options {
@@ -59,78 +52,24 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         cfg: GatewayConfig::default(),
     };
     let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(arg) = it.next() {
+        if cli::parse_shared(arg, &mut it, &mut opts.addr, &mut opts.cfg)? {
+            continue;
+        }
         match arg.as_str() {
             "--help" | "-h" => {
                 print!("{}", usage());
                 return Ok(None);
             }
-            "--addr" => opts.addr = need(&mut it, "--addr")?,
-            "--worker-addr" => opts.worker_addr = need(&mut it, "--worker-addr")?,
-            "--http-addr" => opts.http_addr = need(&mut it, "--http-addr")?,
-            "--queue-cap" => {
-                opts.cfg.queue_cap = need(&mut it, "--queue-cap")?
-                    .parse()
-                    .map_err(|_| "--queue-cap needs a positive integer".to_string())?;
-                if opts.cfg.queue_cap == 0 {
-                    return Err("--queue-cap must be positive".to_string());
-                }
-                opts.cfg.shed = ShedConfig {
-                    work_ceiling: opts.cfg.shed.work_ceiling,
-                    ..ShedConfig::for_queue_cap(opts.cfg.queue_cap)
-                };
-            }
-            "--library" => {
-                let path = need(&mut it, "--library")?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read library {path}: {e}"))?;
-                opts.cfg.library =
-                    library::parse_genlib(&path, &text).map_err(|e| e.to_string())?;
-            }
-            "--verify" => {
-                opts.cfg.default_verify =
-                    serve::protocol::parse_verify(&need(&mut it, "--verify")?)?;
-            }
-            "--seed" => {
-                opts.cfg.default_seed = need(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?;
-            }
-            "--journal-dir" => {
-                opts.cfg.journal_dir = Some(need(&mut it, "--journal-dir")?.into());
-            }
-            "--cache-dir" => {
-                opts.cfg.cache_dir = Some(need(&mut it, "--cache-dir")?.into());
-            }
-            "--cache-cap" => {
-                opts.cfg.cache_cap = need(&mut it, "--cache-cap")?
-                    .parse()
-                    .map_err(|_| "--cache-cap needs a non-negative integer".to_string())?;
-            }
-            "--work-ceiling" => {
-                opts.cfg.shed.work_ceiling = Some(
-                    need(&mut it, "--work-ceiling")?
-                        .parse()
-                        .map_err(|_| "--work-ceiling needs an integer".to_string())?,
-                );
-            }
+            "--worker-addr" => opts.worker_addr = value(&mut it, arg)?,
+            "--http-addr" => opts.http_addr = value(&mut it, arg)?,
+            "--cache-dir" => opts.cfg.cache_dir = Some(value(&mut it, arg)?.into()),
+            "--cache-cap" => opts.cfg.cache_cap = number(&mut it, arg, "a non-negative integer")?,
             "--heartbeat-ms" => {
-                opts.cfg.heartbeat_ms = need(&mut it, "--heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-ms needs a positive integer".to_string())?;
+                opts.cfg.heartbeat_ms = number(&mut it, arg, "a positive integer")?;
                 if opts.cfg.heartbeat_ms == 0 {
                     return Err("--heartbeat-ms must be positive".to_string());
                 }
-            }
-            "--retry-max" => {
-                opts.cfg.retry_max = need(&mut it, "--retry-max")?
-                    .parse()
-                    .map_err(|_| "--retry-max needs a non-negative integer".to_string())?;
             }
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }

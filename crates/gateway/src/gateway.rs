@@ -1,51 +1,59 @@
 //! The gateway core: admission, cache, priority queue, worker
-//! dispatch, fan-out, and recovery.
+//! dispatch, fan-out, recovery, and the one job supervisor.
 //!
 //! One [`Gateway`] owns three faces:
 //!
-//! - **Clients** speak the same NDJSON protocol as `gdo-served`
-//!   ([`proto::client`]): submit / status / cancel / drain, answered by
-//!   the same event stream — `gdo-submit` works against either binary
-//!   unchanged.
-//! - **Workers** are separate `gdo-worker` processes that dial in,
-//!   prove they carry the same cell library (digest check at
-//!   registration), and *pull* jobs: one `pull` credit per free slot,
-//!   answered with one `assign` each. Fast workers pull more often and
-//!   naturally claim more of the queue — work stealing across
-//!   processes.
+//! - **Clients** speak the NDJSON protocol of [`proto::client`]:
+//!   submit / status / cancel / drain, answered by one event stream —
+//!   over TCP ([`Gateway::serve_clients`]) or stdin/stdout
+//!   ([`Gateway::run_batch`]).
+//! - **Workers** dial in, prove they carry the same cell library
+//!   (digest check at registration), and *pull* jobs: one `pull` credit
+//!   per free slot, answered with one `assign` each. Fast workers pull
+//!   more often and naturally claim more of the queue — work stealing.
+//!   A worker is a `gdo-worker` process on a TCP connection
+//!   ([`Gateway::serve_workers`]) or an in-process thread on a pipe pair
+//!   ([`crate::worker::spawn_local_workers`]); both speak the same
+//!   protocol and are treated alike.
 //! - **Operators** scrape the plain-text `/metrics` and `/status` HTTP
 //!   endpoints ([`crate::http`]).
+//!
+//! `gdo-gateway` is this gateway with TCP workers; `gdo-served` is the
+//! same gateway with `--workers N` in-process ones and blocking
+//! admission.
 //!
 //! Admission loads the netlist, computes the structural cache key
 //! ([`crate::key`]), and answers duplicates straight from the result
 //! cache ([`crate::cache`]) without touching a worker. Cache misses
 //! pass the load-shedding watermarks ([`crate::shed`]), are journaled
-//! to the write-ahead log (reusing [`serve::wal`]), and queue until a
-//! worker credit claims them.
+//! to the write-ahead log ([`serve::wal`]), and queue until a worker
+//! credit claims them.
 //!
 //! A worker that goes silent past its heartbeat deadline — or whose
 //! socket closes, which a SIGKILL does instantly — is declared dead:
 //! its in-flight jobs requeue, resuming from their last on-disk
 //! checkpoint when one exists, and its late results (if it was merely
 //! slow) are ignored because the assignment table already re-owns the
-//! job. Every accepted job reaches exactly one terminal event across
-//! worker deaths and gateway restarts.
+//! job. A job whose worker panics is requeued up to `retry_max` times,
+//! then quarantined with a `poisoned` terminal. Every accepted job
+//! reaches exactly one terminal event across worker deaths and gateway
+//! restarts.
 
 use crate::cache::{patch_job_id, CacheEntry, ResultCache};
 use crate::key::cache_key;
+use crate::link::{lock, output_from, send_line, Output};
 use crate::shed::ShedConfig;
 use gdo::VerifyPolicy;
 use library::Library;
 use proto::{
-    Event, GatewayMsg, InputFormat, JobSource, Request, ShippedInput, SubmitRequest, WorkerMsg,
-    WorkerResult, PROTOCOL_VERSION,
+    Event, GatewayMsg, Request, ShippedInput, SubmitRequest, WorkerMsg, WorkerResult,
+    PROTOCOL_VERSION,
 };
-use serve::job::parse_netlist_text;
+use serve::job::load_job_netlist;
 use serve::queue::{Admission, JobQueue, PushError};
-use serve::server::{output_from, Output};
 use serve::wal::{self, Wal};
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -63,9 +71,9 @@ pub struct GatewayConfig {
     pub default_verify: VerifyPolicy,
     /// Default BPFS seed for submits that name none.
     pub default_seed: u64,
-    /// Durable job journal directory (reused from `gdo-served`): WAL,
-    /// per-job checkpoints, and crash recovery. Workers must see the
-    /// same filesystem for checkpoint resume to work across processes.
+    /// Durable job journal directory: WAL, per-job checkpoints, and
+    /// crash recovery. Workers must see the same filesystem for
+    /// checkpoint resume to work across processes.
     pub journal_dir: Option<PathBuf>,
     /// Result cache directory (`None` = in-memory only).
     pub cache_dir: Option<PathBuf>,
@@ -78,6 +86,12 @@ pub struct GatewayConfig {
     pub retry_max: u32,
     /// Load-shedding watermarks.
     pub shed: ShedConfig,
+    /// What a full queue does to a submitter. `Reject` answers
+    /// `queue full` at once; `Block` parks the submitting connection
+    /// until a worker claims a job, and skips the queue-depth shed
+    /// watermarks (the work ceiling still sheds) — the policy that lets
+    /// a `--batch` longer than the queue lose nothing.
+    pub admission: Admission,
 }
 
 impl Default for GatewayConfig {
@@ -93,6 +107,7 @@ impl Default for GatewayConfig {
             heartbeat_ms: 2000,
             retry_max: 2,
             shed: ShedConfig::for_queue_cap(16),
+            admission: Admission::Reject,
         }
     }
 }
@@ -123,14 +138,20 @@ impl Pending {
 struct Assigned {
     pending: Pending,
     worker: usize,
+    /// Whether the `assign` line is written. Until it is, a `cancel` for
+    /// the job is held here rather than relayed, so it cannot overtake
+    /// the assign on the wire; the dispatcher sends it right behind.
+    on_wire: bool,
+    cancel_held: bool,
 }
 
-/// One registered worker connection.
+/// One registered worker link.
 struct WorkerConn {
     name: String,
     /// Write half for `assign`/`cancel`/`drain` lines.
     out: Output,
-    /// The raw stream, kept to force-close a reaped worker.
+    /// The TCP stream of a remote worker, kept to force-close it when it
+    /// is reaped; an in-process worker's pipe link has none.
     stream: Option<TcpStream>,
     /// Unanswered `pull` credits.
     credits: usize,
@@ -167,7 +188,7 @@ struct GatewayCounters {
 }
 
 /// The running gateway. Shared via `Arc` between the client accept
-/// loop, worker connections, the HTTP endpoint, and the reaper thread.
+/// loop, worker links, the HTTP endpoint, and the reaper thread.
 pub struct Gateway {
     lib: Library,
     lib_digest_hex: String,
@@ -189,6 +210,7 @@ pub struct Gateway {
     heartbeat_ms: u64,
     retry_max: u32,
     shed: ShedConfig,
+    admission: Admission,
     drain_t0: Mutex<Option<Instant>>,
 }
 
@@ -241,6 +263,7 @@ impl Gateway {
             heartbeat_ms: cfg.heartbeat_ms,
             retry_max: cfg.retry_max,
             shed: cfg.shed,
+            admission: cfg.admission,
             drain_t0: Mutex::new(None),
         });
         if let (Some(replay), Some(dir)) = (replayed, cfg.journal_dir.as_ref()) {
@@ -275,7 +298,7 @@ impl Gateway {
             }
             self.counters.recovered.fetch_add(1, Ordering::Relaxed);
             telemetry::counter_add("gateway.recovered", 1);
-            self.submit(req, &out);
+            self.admit(req, &out, true);
         }
     }
 
@@ -306,8 +329,17 @@ impl Gateway {
     /// Admits one job: validate → load → cache lookup → shed check →
     /// journal → queue → dispatch. Every path reports exactly one
     /// `accepted`-or-`rejected`, and accepted jobs exactly one
-    /// terminal.
+    /// terminal. A full queue blocks or rejects the submitter, as the
+    /// configured [`Admission`] says.
     pub fn submit(&self, req: SubmitRequest, out: &Output) {
+        self.admit(req, out, false);
+    }
+
+    /// [`submit`](Self::submit), and the path a job recovered from the
+    /// journal takes: such a job was admitted by the previous process,
+    /// so it is [readmitted](JobQueue::readmit) past the queue's cap
+    /// instead of blocking a gateway that has no worker yet.
+    fn admit(&self, req: SubmitRequest, out: &Output, recovered: bool) {
         let id = req
             .id
             .clone()
@@ -345,8 +377,8 @@ impl Gateway {
             }
         }
 
-        // Resolve and validate the deterministic config up front — the
-        // same admission-time checks `gdo-served` performs.
+        // Resolve and validate the deterministic config up front, so an
+        // unknown engine is rejected with the list of valid ones.
         let engines = match &req.engines {
             None => vec![gdo::EngineId::Gdo],
             Some(list) => match gdo::EngineId::parse_list(list) {
@@ -362,9 +394,9 @@ impl Gateway {
 
         // Load the netlist *at admission*: the structural cache key
         // needs it, file jobs ship their bytes to the worker, and bad
-        // inputs fail fast here instead of burning a queue slot.
-        let loaded = self.load_input(&req.source);
-        let (nl, mapped, input) = match loaded {
+        // inputs (unknown suite names, unreadable files) fail fast here
+        // instead of burning a queue slot.
+        let (nl, mapped, input) = match load_job_netlist(&self.lib, &req.source) {
             Ok(t) => t,
             Err(e) => {
                 reject(e, false);
@@ -436,11 +468,17 @@ impl Gateway {
         }
         telemetry::counter_add("gateway.cache.misses", 1);
 
-        // Load shedding: refuse cheap now rather than time out later.
+        // Load shedding: refuse cheap now rather than time out later. A
+        // blocking queue parks the submitter at its cap instead, so only
+        // the work ceiling sheds under `Admission::Block`.
         let granted = self.counters.work_granted.load(Ordering::Relaxed);
-        if let Some(reason) =
-            self.shed
-                .decide(req.priority, self.queue.len(), granted, req.work_limit)
+        let depth = match self.admission {
+            Admission::Reject => self.queue.len(),
+            Admission::Block => 0,
+        };
+        if let Some(reason) = self
+            .shed
+            .decide(req.priority, depth, granted, req.work_limit)
         {
             reject(reason, true);
             return;
@@ -479,7 +517,14 @@ impl Gateway {
             announced: Arc::clone(&announced),
             attempts: 0,
         };
-        match self.queue.push(pending, priority, Admission::Reject) {
+        let pushed = if recovered {
+            self.queue.readmit(pending, priority)
+        } else {
+            // Under `Admission::Block` this is where backpressure lives:
+            // the submitting connection waits here for a free slot.
+            self.queue.push(pending, priority, self.admission)
+        };
+        match pushed {
             Ok(()) => {
                 self.counters.admitted.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter_add("gateway.admitted", 1);
@@ -504,43 +549,10 @@ impl Gateway {
         }
     }
 
-    /// Loads a submission's netlist and, for file sources, the original
-    /// bytes to ship (so the worker's parse is byte-identical).
-    fn load_input(
-        &self,
-        source: &JobSource,
-    ) -> Result<(netlist::Netlist, bool, Option<ShippedInput>), String> {
-        match source {
-            JobSource::Suite(name) => {
-                let entry = workloads::lookup_circuit(name).map_err(|e| e.to_string())?;
-                Ok((entry.build(), false, None))
-            }
-            JobSource::File(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                let format = match path.extension().and_then(|e| e.to_str()) {
-                    Some("bench") => InputFormat::Bench,
-                    Some("blif") => InputFormat::Blif,
-                    other => {
-                        return Err(format!(
-                            "{}: cannot infer format from extension {other:?} \
-                             (use .bench or .blif)",
-                            path.display()
-                        ))
-                    }
-                };
-                let (nl, mapped) = parse_netlist_text(&self.lib, format, &text)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                nl.validate()
-                    .map_err(|e| format!("invalid input netlist {}: {e}", path.display()))?;
-                Ok((nl, mapped, Some(ShippedInput { format, text })))
-            }
-        }
-    }
-
     /// Cancels a job: queued jobs terminate here; assigned jobs get a
     /// `cancel` relayed to their worker (which answers with a
-    /// `cancelled` result). Finished ids answer `already_finished`.
+    /// `cancelled` result), never ahead of the job's `assign`. Finished
+    /// ids answer `already_finished`.
     pub fn cancel(&self, id: &str, out: &Output) {
         if let Some(job) = self.queue.remove_if(|p| p.id() == id) {
             while !job.announced.load(Ordering::Acquire) {
@@ -553,16 +565,26 @@ impl Gateway {
             );
             return;
         }
-        let relayed = {
-            let state = lock(&self.state);
-            state.assigned.get(id).map(|a| {
-                let w = &state.workers[a.worker];
-                (Arc::clone(&w.out), id.to_string())
+        let relay = {
+            let mut state = lock(&self.state);
+            let State { workers, assigned } = &mut *state;
+            assigned.get_mut(id).map(|a| {
+                if a.on_wire {
+                    Some(Arc::clone(&workers[a.worker].out))
+                } else {
+                    a.cancel_held = true;
+                    None
+                }
             })
         };
-        if let Some((wout, id)) = relayed {
-            send_line(&wout, &GatewayMsg::Cancel { id }.to_json());
-            return;
+        match relay {
+            Some(Some(wout)) => {
+                send_line(&wout, &GatewayMsg::Cancel { id: id.to_string() }.to_json());
+                return;
+            }
+            // Held for the dispatcher, which is writing the assign.
+            Some(None) => return,
+            None => {}
         }
         let outcome = lock(&self.finished).get(id).cloned();
         match outcome {
@@ -598,7 +620,7 @@ impl Gateway {
 
     /// Graceful drain: stop admitting, let queued and in-flight jobs
     /// finish on the workers, then tell workers to exit and report
-    /// `drained`.
+    /// `drained` — always the drain's last event.
     pub fn drain(&self, out: &Output) {
         let t0 = {
             let mut slot = lock(&self.drain_t0);
@@ -610,9 +632,11 @@ impl Gateway {
             self.dispatch();
             std::thread::sleep(Duration::from_millis(2));
         }
+        // Closed before the live workers are collected: a worker that
+        // registers later sees it and is drained at the door.
         self.queue.close();
-        // Workers are idle now; tell them to exit and close their
-        // sockets so their read loops return.
+        // Workers are idle now; tell them to exit and close the sockets
+        // of remote ones so their read loops return.
         let outs: Vec<(Output, Option<TcpStream>)> = {
             let mut state = lock(&self.state);
             state
@@ -634,6 +658,14 @@ impl Gateway {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
+    /// Batch mode: serves request lines from `reader` (e.g. stdin),
+    /// then drains — EOF is an implicit `drain`. Events go to `out`.
+    pub fn run_batch(&self, reader: impl BufRead, out: &Output) {
+        if !self.serve_client_link(reader, out) {
+            self.drain(out);
+        }
+    }
+
     /// Whether a drain has completed (accept loops should stop).
     #[must_use]
     pub fn is_shut_down(&self) -> bool {
@@ -647,48 +679,57 @@ impl Gateway {
     /// IO errors from the listener itself.
     pub fn serve_clients(self: &Arc<Self>, listener: &TcpListener) -> std::io::Result<()> {
         accept_loop(listener, self, |gw, stream| {
-            let reader = BufReader::new(match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
-            });
-            let out = output_from(stream);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if gw.handle_line(&line, &out) {
-                    break;
-                }
-            }
+            let Ok(read_half) = stream.try_clone() else {
+                return;
+            };
+            gw.serve_client_link(BufReader::new(read_half), &output_from(stream));
         })
+    }
+
+    /// Serves one client link's request lines until EOF or a drain.
+    /// Returns whether the link drained the gateway.
+    fn serve_client_link(&self, reader: impl BufRead, out: &Output) -> bool {
+        for line in reader.lines() {
+            let Ok(line) = line else { break };
+            if self.handle_line(&line, out) {
+                return true;
+            }
+        }
+        false
     }
 
     // ------------------------------------------------------------------
     // Worker face
     // ------------------------------------------------------------------
 
-    /// Serves worker connections until shutdown.
+    /// Serves remote (`gdo-worker`) connections until shutdown.
     ///
     /// # Errors
     ///
     /// IO errors from the listener itself.
     pub fn serve_workers(self: &Arc<Self>, listener: &TcpListener) -> std::io::Result<()> {
         accept_loop(listener, self, |gw, stream| {
-            gw.run_worker_connection(stream);
+            let (Ok(read_half), Ok(write_half)) = (stream.try_clone(), stream.try_clone()) else {
+                return;
+            };
+            gw.serve_worker_link(
+                BufReader::new(read_half),
+                output_from(write_half),
+                Some(stream),
+            );
         })
     }
 
-    /// One worker connection: registration handshake, then the message
-    /// loop until EOF (which, for a SIGKILLed worker, arrives
-    /// immediately).
-    fn run_worker_connection(self: &Arc<Self>, stream: TcpStream) {
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        let mut reader = BufReader::new(read_half);
-        let out = output_from(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        });
-
+    /// One worker link: registration handshake, then the message loop
+    /// until EOF (which, for a SIGKILLed worker, arrives immediately).
+    /// `stream` is a remote worker's TCP socket, kept so a reaped worker
+    /// can be force-closed; an in-process worker's pipe link has none.
+    pub(crate) fn serve_worker_link(
+        &self,
+        mut reader: impl BufRead,
+        out: Output,
+        stream: Option<TcpStream>,
+    ) {
         // Registration: first line must be a hello with a matching
         // library digest and protocol revision.
         let mut first = String::new();
@@ -741,20 +782,8 @@ impl Gateway {
             }
         };
 
-        let index = {
-            let mut state = lock(&self.state);
-            state.workers.push(WorkerConn {
-                name: hello,
-                out: Arc::clone(&out),
-                stream: Some(stream),
-                credits: 0,
-                alive: true,
-                last_beat: Instant::now(),
-                jobs: HashSet::new(),
-            });
-            state.workers.len() - 1
-        };
-        telemetry::gauge_set("gateway.workers.alive", self.workers_alive() as f64);
+        // Welcome before registering: once registered, a drain may write
+        // to the link, and its `drain` must not precede the welcome.
         send_line(
             &out,
             &GatewayMsg::Welcome {
@@ -762,6 +791,28 @@ impl Gateway {
             }
             .to_json(),
         );
+        let registered = {
+            let mut state = lock(&self.state);
+            (!self.queue.is_closed()).then(|| {
+                state.workers.push(WorkerConn {
+                    name: hello,
+                    out: Arc::clone(&out),
+                    stream,
+                    credits: 0,
+                    alive: true,
+                    last_beat: Instant::now(),
+                    jobs: HashSet::new(),
+                });
+                state.workers.len() - 1
+            })
+        };
+        let Some(index) = registered else {
+            // Drain already told the live workers to exit; one that
+            // arrives after it exits the same way.
+            send_line(&out, &GatewayMsg::Drain.to_json());
+            return;
+        };
+        telemetry::gauge_set("gateway.workers.alive", self.workers_alive() as f64);
 
         for line in reader.lines() {
             let Ok(line) = line else { break };
@@ -842,13 +893,15 @@ impl Gateway {
                 Assigned {
                     pending,
                     worker: index,
+                    on_wire: false,
+                    cancel_held: false,
                 },
             );
             drop(state);
             emit(
                 &client,
                 &Event::Started {
-                    id,
+                    id: id.clone(),
                     worker: index,
                     circuit,
                 },
@@ -861,6 +914,19 @@ impl Gateway {
                 }
                 .to_json(),
             );
+            // A cancel that came in meanwhile was held; it goes right
+            // behind the assign.
+            let held = lock(&self.state)
+                .assigned
+                .get_mut(&id)
+                .filter(|a| a.worker == index)
+                .is_some_and(|a| {
+                    a.on_wire = true;
+                    a.cancel_held
+                });
+            if held {
+                send_line(&wout, &GatewayMsg::Cancel { id }.to_json());
+            }
         }
     }
 
@@ -1008,11 +1074,11 @@ impl Gateway {
         let id = pending.id().to_string();
         let out = Arc::clone(&pending.out);
         let priority = pending.spec.priority;
-        match self.queue.push(pending, priority, Admission::Reject) {
+        match self.queue.readmit(pending, priority) {
             Ok(()) => self.dispatch(),
             Err(e) => {
-                // Queue closed mid-drain or (improbably) full: the job
-                // must still reach a terminal.
+                // The queue closes only once nothing is in flight, but
+                // the job must reach a terminal whatever happens.
                 self.finish(
                     &id,
                     &out,
@@ -1163,6 +1229,7 @@ impl Gateway {
             ("gateway.queue.high", depths[0] as u64),
             ("gateway.queue.normal", depths[1] as u64),
             ("gateway.queue.low", depths[2] as u64),
+            ("gateway.queue.blocked_pushes", self.queue.blocked_pushes()),
             (
                 "gateway.inflight",
                 self.inflight.load(Ordering::SeqCst) as u64,
@@ -1180,19 +1247,9 @@ impl Gateway {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Writes one event line to a client stream (best effort).
 fn emit(out: &Output, event: &Event) {
     send_line(out, &event.to_json());
-}
-
-fn send_line(out: &Output, line: &str) {
-    let mut w = lock(out);
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
 }
 
 /// Non-blocking accept loop shared by the client and worker listeners:

@@ -1,33 +1,36 @@
-//! The shardable optimization front door: `gdo-gateway` and
-//! `gdo-worker`.
-//!
-//! `gdo-served` runs jobs on an in-process thread pool — one machine,
-//! one process. This crate splits serving in two so the optimizer
-//! scales across processes and machines:
+//! The GDO serving stack: one gateway, two deployment shapes.
 //!
 //! - The **gateway** ([`gateway::Gateway`]) owns admission, the
-//!   priority queue, the durable job journal, the persistent
-//!   structural-hash result cache ([`cache`], keyed by [`key`]), load
-//!   shedding ([`shed`]), and the operator HTTP endpoint ([`http`]).
-//!   It runs no optimization itself.
-//! - **Workers** ([`worker::run_worker`]) are separate processes that
-//!   dial in, register with their library digest, and pull jobs. Each
-//!   runs jobs through the exact same [`serve::job::run_job`] path
-//!   `gdo-served` uses, so results are byte-identical regardless of
-//!   which process — or machine — ran them.
+//!   priority queue, the durable job journal, the structural-hash
+//!   result cache ([`cache`], keyed by [`key`]), load shedding
+//!   ([`shed`]), the one job supervisor (requeue on worker loss, retry
+//!   then `poisoned` on worker panics) and the operator HTTP endpoint
+//!   ([`http`]). It runs no optimization itself.
+//! - **Workers** ([`worker`]) register with their library digest and
+//!   pull jobs. Each runs jobs through [`serve::job::run_job`], so
+//!   results are byte-identical regardless of which worker ran them.
 //!
-//! Clients need not care: the gateway speaks the same NDJSON protocol
-//! as `gdo-served`, so `gdo-submit` works against either unchanged.
+//! `gdo-served` is a gateway with `--workers N` in-process workers,
+//! linked to it by pipes ([`worker::spawn_local_workers`]), serving TCP
+//! clients or a stdin batch. `gdo-gateway` is the same gateway with
+//! remote `gdo-worker` processes on TCP ([`worker::run_worker`]), any
+//! number on any host, plus the HTTP endpoint. Clients speak one NDJSON
+//! protocol to either, so `gdo-submit` works against both. The flags
+//! the two binaries share parse in [`cli`].
 
 pub mod cache;
+pub mod cli;
 pub mod gateway;
 pub mod http;
 pub mod key;
+mod link;
 pub mod shed;
 pub mod worker;
 
 pub use cache::{CacheEntry, ResultCache};
 pub use gateway::{Gateway, GatewayConfig};
 pub use key::cache_key;
+pub use link::{output_from, Output};
+pub use serve::queue::Admission;
 pub use shed::ShedConfig;
-pub use worker::{run_worker, WorkerOptions};
+pub use worker::{run_worker, spawn_local_workers, WorkerOptions};

@@ -1,47 +1,52 @@
-//! The worker runtime: what a `gdo-worker` process runs.
+//! The worker runtime: the pull loop every worker runs, whether it is a
+//! `gdo-worker` process on the far end of a TCP connection
+//! ([`run_worker`]) or one of `gdo-served`'s in-process workers on a
+//! pair of pipes ([`spawn_local_workers`]).
 //!
-//! A worker dials the gateway's worker port, proves it carries the same
-//! cell library (digest in the hello), and then *pulls*: one `pull`
-//! credit per free slot, each answered by one `assign`. The job runs
-//! through the exact same [`serve::job::run_job`] path `gdo-served`
-//! uses — same seed, same single BPFS thread, same checkpoint cadence —
-//! so a report produced by a remote worker is byte-identical to the one
-//! the in-process server would have produced.
+//! A worker proves it carries the same cell library as the gateway
+//! (digest in the hello), and then *pulls*: one `pull` credit per free
+//! slot, each answered by one `assign`. The job runs through
+//! [`serve::job::run_job`] — same seed, same single BPFS thread, same
+//! checkpoint cadence — so a report is byte-identical whichever worker,
+//! over whichever link, ran it.
 //!
 //! While a job runs, a ticker thread streams the process's telemetry
 //! counter deltas back as `progress` lines (the default worker runs one
 //! job at a time, so the deltas attribute to the running job); the
-//! gateway fans them out to clients that asked for them. A `cancel`
-//! from the gateway trips the job's [`gdo::Budget`] cancel handle
-//! mid-run.
+//! gateway fans them out to clients that asked for them. Only
+//! [`run_worker`] enables telemetry, so in-process workers send none. A
+//! `cancel` from the gateway trips the job's [`gdo::Budget`] cancel
+//! handle, which exists from the moment the `assign` is read.
 //!
-//! The runtime is a plain blocking function, so tests can run a worker
-//! on a thread against an in-process gateway.
+//! The runtime is plain blocking code, so tests can run a worker on a
+//! thread against an in-process gateway.
 
+use crate::gateway::Gateway;
+use crate::link::{lock, output_from, send_line, Output};
 use gdo::Budget;
 use library::Library;
 use proto::{GatewayMsg, InputFormat, JobSource, SubmitRequest, WorkerMsg, WorkerResult};
-use serve::job::{run_job, JobSpec};
-use serve::server::{output_from, Output};
+use serve::job::{run_job, JobOutcome, JobSpec};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Configuration of one worker process.
+/// Configuration of one worker.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
     /// Display name sent in the hello (shows up in gateway logs).
     pub name: String,
     /// The cell library; its digest must match the gateway's.
     pub library: Library,
-    /// Concurrent job slots. The default is 1 — run more worker
-    /// *processes* for more parallelism; that is the sharding axis.
+    /// Concurrent job slots. The default is 1 — run more workers for
+    /// more parallelism; that is the sharding axis.
     pub slots: usize,
     /// Honor `panic_attempts` fault injection in assigned specs (tests
     /// only; a production worker leaves this off and runs the job).
@@ -61,7 +66,7 @@ impl Default for WorkerOptions {
 
 /// Connects to a gateway and serves jobs until the gateway drains or
 /// the connection drops. Blocking; run it on a thread to embed a worker
-/// in a test.
+/// in a test. Enables telemetry, which the progress stream samples.
 ///
 /// # Errors
 ///
@@ -70,10 +75,57 @@ impl Default for WorkerOptions {
 pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let out = output_from(stream);
     telemetry::enable();
+    serve_link(reader, output_from(stream), opts)
+}
 
-    send(
+/// Starts `n` in-process workers on `gw` — the shape of `gdo-served`.
+/// Each is an ordinary worker with its own library clone, named
+/// `{opts.name}-{i}`, running the loop of [`run_worker`] over a pair of
+/// pipes instead of a TCP connection. A handle finishes once the
+/// gateway drained its worker and closed the link.
+///
+/// # Errors
+///
+/// The OS refused to create a pipe.
+pub fn spawn_local_workers(
+    gw: &Arc<Gateway>,
+    n: usize,
+    opts: &WorkerOptions,
+) -> std::io::Result<Vec<JoinHandle<Result<(), String>>>> {
+    (0..n)
+        .map(|i| {
+            let (from_worker, to_gateway) = std::io::pipe()?;
+            let (from_gateway, to_worker) = std::io::pipe()?;
+            let link_gw = Arc::clone(gw);
+            let link = std::thread::spawn(move || {
+                link_gw.serve_worker_link(
+                    BufReader::new(from_worker),
+                    output_from(to_worker),
+                    None,
+                );
+            });
+            let opts = WorkerOptions {
+                name: format!("{}-{i}", opts.name),
+                ..opts.clone()
+            };
+            Ok(std::thread::spawn(move || {
+                let served =
+                    serve_link(BufReader::new(from_gateway), output_from(to_gateway), &opts);
+                // Our write end is closed now, so the gateway's side of
+                // the link has seen EOF and returns.
+                let _ = link.join();
+                served
+            }))
+        })
+        .collect()
+}
+
+/// The worker loop over one link: hello, welcome, heartbeats, one pull
+/// per slot, then assignments until the gateway says `drain` or the
+/// link closes.
+fn serve_link(reader: impl BufRead, out: Output, opts: &WorkerOptions) -> Result<(), String> {
+    send_line(
         &out,
         &WorkerMsg::Hello {
             name: opts.name.clone(),
@@ -97,24 +149,21 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
     };
 
     // Heartbeats at half the requested interval: the gateway reaps at
-    // 3 intervals of silence, so one delayed beat is harmless.
-    let stop = Arc::new(AtomicBool::new(false));
+    // 3 intervals of silence, so one delayed beat is harmless. The wait
+    // for the next beat is also the wait for `stop`, so a drained
+    // worker exits at once instead of sitting out the interval.
+    let (stop, stopped) = mpsc::channel::<()>();
     let beat_out = Arc::clone(&out);
-    let beat_stop = Arc::clone(&stop);
     let beater = std::thread::spawn(move || {
         let tick = Duration::from_millis((heartbeat_ms / 2).max(10));
-        while !beat_stop.load(Ordering::Relaxed) {
-            std::thread::sleep(tick);
-            if beat_stop.load(Ordering::Relaxed) {
-                break;
-            }
-            send(&beat_out, &WorkerMsg::Beat.to_json());
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
+            send_line(&beat_out, &WorkerMsg::Beat.to_json());
         }
     });
 
     // One credit per slot; each finished job sends the next pull.
     for _ in 0..opts.slots.max(1) {
-        send(&out, &WorkerMsg::Pull.to_json());
+        send_line(&out, &WorkerMsg::Pull.to_json());
     }
 
     let cancels: Arc<Mutex<HashMap<String, gdo::CancelHandle>>> =
@@ -131,13 +180,20 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
                 if panicked > 0 {
                     eprintln!("gdo-worker: {panicked} finished job thread(s) had panicked");
                 }
+                // The budget, and with it the cancel handle, exists before
+                // the next line is read: a `cancel` right behind the assign
+                // finds the job.
+                let budget = job_budget(&spec);
+                let id = spec.id.clone().unwrap_or_default();
+                lock(&cancels).insert(id.clone(), budget.cancel_handle());
                 let out = Arc::clone(&out);
                 let cancels = Arc::clone(&cancels);
                 let lib = opts.library.clone();
                 let fault_inject = opts.fault_inject;
                 jobs.push(std::thread::spawn(move || {
-                    run_assignment(&lib, *spec, input, &out, &cancels, fault_inject);
-                    send(&out, &WorkerMsg::Pull.to_json());
+                    run_assignment(&lib, *spec, input, &budget, &out, fault_inject);
+                    lock(&cancels).remove(&id);
+                    send_line(&out, &WorkerMsg::Pull.to_json());
                 }));
             }
             Ok(GatewayMsg::Cancel { id }) => {
@@ -151,7 +207,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
             }
         }
     }
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     for j in jobs {
         let _ = j.join();
     }
@@ -169,21 +225,23 @@ fn reap_finished(jobs: &mut Vec<JoinHandle<()>>) -> usize {
         .count()
 }
 
-/// Runs one assigned job and sends its single `result` line.
+/// Runs one assigned job under `budget` and sends its single `result`
+/// line.
 fn run_assignment(
     lib: &Library,
     wire: SubmitRequest,
     input: Option<proto::ShippedInput>,
+    budget: &Budget,
     out: &Output,
-    cancels: &Mutex<HashMap<String, gdo::CancelHandle>>,
     fault_inject: bool,
 ) {
     let id = wire.id.clone().unwrap_or_default();
     let want_progress = wire.want_progress;
+    let panic_attempts = wire.panic_attempts.unwrap_or(0);
     let (spec, temp) = match materialize(wire, input) {
         Ok(t) => t,
         Err(error) => {
-            send(
+            send_line(
                 out,
                 &WorkerMsg::Result {
                     id,
@@ -194,8 +252,6 @@ fn run_assignment(
             return;
         }
     };
-    let budget = job_budget(&spec);
-    lock(cancels).insert(id.clone(), budget.cancel_handle());
 
     // Progress ticker: stream telemetry counter deltas while the job
     // runs. Deltas — not absolutes — so a long-lived worker's history
@@ -218,7 +274,7 @@ fn run_assignment(
                     })
                     .collect();
                 if !deltas.is_empty() {
-                    send(
+                    send_line(
                         &out,
                         &WorkerMsg::Progress {
                             id: id.clone(),
@@ -236,29 +292,25 @@ fn run_assignment(
     };
 
     let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if fault_inject && spec.panic_attempts > 0 {
-            panic!(
-                "fault-inject: injected worker panic ({} to go)",
-                spec.panic_attempts
-            );
+        if fault_inject && panic_attempts > 0 {
+            panic!("fault-inject: injected worker panic ({panic_attempts} to go)");
         }
-        run_job(lib, &spec, &budget)
+        run_job(lib, &spec, budget)
     }));
 
     ticker_stop.store(true, Ordering::Relaxed);
     if let Some(t) = ticker {
         let _ = t.join();
     }
-    lock(cancels).remove(&id);
     if let Some(path) = temp {
         let _ = std::fs::remove_file(path);
     }
 
     let result = match run {
         Ok(Ok(done)) => match done.outcome {
-            serve::job::JobOutcome::Cancelled => WorkerResult::Cancelled,
+            JobOutcome::Cancelled => WorkerResult::Cancelled,
             outcome => WorkerResult::Finished {
-                degraded: outcome == serve::job::JobOutcome::Degraded,
+                degraded: outcome == JobOutcome::Degraded,
                 circuit: done.circuit,
                 report: done.report,
                 blif: done.blif,
@@ -269,7 +321,7 @@ fn run_assignment(
             error: panic_message(payload.as_ref()),
         },
     };
-    send(out, &WorkerMsg::Result { id, result }.to_json());
+    send_line(out, &WorkerMsg::Result { id, result }.to_json());
 }
 
 /// Turns the wire spec into a runnable [`JobSpec`], writing a shipped
@@ -304,37 +356,27 @@ fn materialize(
     let spec = JobSpec {
         id,
         source,
-        deadline: wire.deadline_ms.map(Duration::from_millis),
-        work_limit: wire.work_limit,
         seed: wire.seed.unwrap_or(1995),
         vectors: wire.vectors,
         verify: wire.verify.unwrap_or(gdo::VerifyPolicy::Final),
         engines,
         partitions: wire.partitions.unwrap_or(0),
-        priority: wire.priority,
         checkpoint: wire.checkpoint,
-        // Same cadence `gdo-served` journal-managed jobs default to.
-        checkpoint_every: 4,
         resume: wire.resume,
-        want_netlist: wire.want_netlist,
-        panic_attempts: wire.panic_attempts.unwrap_or(0),
     };
     Ok((spec, temp))
 }
 
 /// The job's budget: remainders from a resumed snapshot take precedence
-/// over the spec's own deadline/work limit, exactly as `gdo-served`
-/// computes it — a requeued job does not get its budget refreshed.
-fn job_budget(spec: &JobSpec) -> Budget {
+/// over the spec's own deadline/work limit — a requeued or recovered
+/// job does not get its budget refreshed.
+fn job_budget(spec: &SubmitRequest) -> Budget {
     let (snap_time_ms, snap_work) = spec
         .resume
         .as_ref()
         .and_then(|p| gdo::snapshot::peek_remainders(p).ok())
         .unwrap_or((None, None));
-    let explicit_ms = spec
-        .deadline
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
-    let time_ms = snap_time_ms.or(explicit_ms);
+    let time_ms = snap_time_ms.or(spec.deadline_ms);
     let work = snap_work.or(spec.work_limit);
     Budget::new(time_ms.map(Duration::from_millis), work)
 }
@@ -359,16 +401,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "worker panicked".to_string()
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn send(out: &Output, line: &str) {
-    let mut w = lock(out);
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
 }
 
 #[cfg(test)]

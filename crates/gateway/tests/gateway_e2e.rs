@@ -3,8 +3,12 @@
 //! byte-identical reports, cache misses on every config axis, cache
 //! persistence across a gateway restart, worker death mid-job with
 //! requeue to a survivor, panic retry and poisoning, load shedding,
-//! registration checks, and byte-identity against `gdo-served`.
+//! registration checks, and byte-identity between `gdo-served`'s
+//! pipe-linked workers and TCP ones.
 
+mod common;
+
+use common::{count_kind, event_kind, Client};
 use gateway::{Gateway, GatewayConfig, ShedConfig, WorkerOptions};
 use proto::PROTOCOL_VERSION;
 use std::io::{BufRead, BufReader, Write};
@@ -45,70 +49,6 @@ fn spawn_worker(
         )
         .unwrap();
     })
-}
-
-/// One client connection with line-oriented send/receive helpers.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        Client {
-            writer: stream.try_clone().unwrap(),
-            reader: BufReader::new(stream),
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        assert!(
-            self.reader.read_line(&mut line).unwrap() > 0,
-            "connection closed early"
-        );
-        line.trim_end().to_string()
-    }
-
-    /// Reads events until `n` terminal events were seen; returns all
-    /// lines read.
-    fn recv_until_terminals(&mut self, n: usize) -> Vec<String> {
-        let mut lines = Vec::new();
-        let mut terminals = 0;
-        while terminals < n {
-            let line = self.recv();
-            if is_terminal(&line) {
-                terminals += 1;
-            }
-            lines.push(line);
-        }
-        lines
-    }
-}
-
-fn event_kind(line: &str) -> String {
-    proto::json::parse(line)
-        .unwrap_or_else(|e| panic!("bad event line {line:?}: {e}"))
-        .get("event")
-        .and_then(|v| v.as_str().map(str::to_string))
-        .unwrap_or_else(|| panic!("event line without kind: {line:?}"))
-}
-
-fn is_terminal(line: &str) -> bool {
-    matches!(
-        event_kind(line).as_str(),
-        "rejected" | "done" | "degraded" | "failed" | "cancelled" | "poisoned"
-    )
-}
-
-fn count_kind(lines: &[String], kind: &str) -> usize {
-    lines.iter().filter(|l| event_kind(l) == kind).count()
 }
 
 fn field(line: &str, name: &str) -> Option<String> {
@@ -211,21 +151,9 @@ fn duplicate_batch_is_answered_from_the_cache_byte_identically() {
     assert!(status.contains("50.0% hit rate"), "{status}");
 
     client.send("{\"op\":\"drain\"}");
-    let drained = client.recv_until_drained();
-    assert!(drained, "drain completes");
+    client.recv_until_drained();
     w1.join().unwrap();
     w2.join().unwrap();
-}
-
-impl Client {
-    fn recv_until_drained(&mut self) -> bool {
-        loop {
-            let line = self.recv();
-            if event_kind(&line) == "drained" {
-                return true;
-            }
-        }
-    }
 }
 
 /// Every config axis that changes the run misses the cache; repeating
@@ -474,34 +402,26 @@ fn mismatched_worker_registration_is_rejected() {
     assert!(line.contains("library digest mismatch"), "{line}");
 }
 
-/// The gateway+worker path produces the same report bytes as
-/// `gdo-served` for the same spec — only `cpu_seconds` (wall clock) and
-/// the job id may differ.
+/// A pipe-linked in-process worker (`gdo-served`'s shape) and a TCP
+/// worker (`gdo-gateway` + `gdo-worker`) produce the same report bytes
+/// for the same spec — only `cpu_seconds` (wall clock) and the job id
+/// may differ.
 #[test]
 fn reports_match_gdo_served_byte_for_byte() {
-    // Run the job through the in-process serving stack.
-    let served_out = Arc::new(std::sync::Mutex::new(Vec::<u8>::new()));
-    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-    let server = serve::Server::new(serve::ServerConfig::default());
+    // Run the job through a gateway with one in-process worker.
     let input = "{\"op\":\"submit\",\"id\":\"j\",\"circuit\":\"Z5xp1\",\"verify\":\"off\"}\n";
-    let out = serve::output_from(SharedBuf(Arc::clone(&served_out)));
-    server.run_batch(std::io::Cursor::new(input.as_bytes()), &out);
-    let served_lines = String::from_utf8(served_out.lock().unwrap().clone()).unwrap();
+    let served_lines = common::run_batch(
+        GatewayConfig::default(),
+        1,
+        &WorkerOptions::default(),
+        input,
+    );
     let served_done = served_lines
-        .lines()
+        .iter()
         .find(|l| event_kind(l) == "done")
         .expect("served terminal");
 
-    // The same spec through gateway + worker.
+    // The same spec through a gateway and a TCP worker.
     let (_gw, client_addr, worker_addr) = start(GatewayConfig::default());
     let w = spawn_worker(worker_addr, "w", false);
     let mut client = Client::connect(client_addr);

@@ -1,4 +1,5 @@
-//! The client↔server NDJSON protocol (`gdo-served` and `gdo-gateway`).
+//! The client↔gateway NDJSON protocol, spoken by both deployment shapes
+//! of the one gateway (`gdo-served` and `gdo-gateway`).
 //!
 //! One JSON object per line in both directions. Requests are parsed with
 //! the hand-rolled [`crate::json`] reader; responses are serialized with
@@ -18,8 +19,8 @@
 //!
 //! A submit names its circuit either by workload-suite entry (`circuit`)
 //! or by netlist file path (`file`), exactly one of the two. All other
-//! fields are optional; the server assigns ids (`job-N`) and applies its
-//! configured defaults. `"netlist":true` asks for the optimized netlist
+//! fields are optional; the gateway assigns ids (`job-N`) and applies
+//! its configured defaults. `"netlist":true` asks for the optimized netlist
 //! (mapped BLIF text) inline in the terminal event; `"progress":true`
 //! subscribes to streamed per-phase progress events while the job runs.
 //!
@@ -122,10 +123,10 @@ pub enum Request {
 }
 
 /// The payload of a `submit` request (defaults unapplied — `None` means
-/// "use the server's default").
+/// "use the gateway's default").
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
-    /// Client-chosen job id; server assigns `job-N` when absent.
+    /// Client-chosen job id; the gateway assigns `job-N` when absent.
     pub id: Option<String>,
     /// What to optimize.
     pub source: JobSource,
@@ -152,18 +153,19 @@ pub struct SubmitRequest {
     /// of the same spec. An unreadable or mismatched snapshot is
     /// rejected cleanly and the job restarts from scratch.
     pub resume: Option<PathBuf>,
-    /// Write run snapshots to this path (overrides the server's
+    /// Write run snapshots to this path (overrides the gateway's
     /// journal-managed per-job checkpoint path).
     pub checkpoint: Option<PathBuf>,
     /// Return the optimized netlist (mapped BLIF text) inline in the
     /// terminal event.
     pub want_netlist: bool,
     /// Stream per-phase `progress` events to this client while the job
-    /// runs (gateway only; `gdo-served` ignores it).
+    /// runs. Only workers that run with telemetry — remote `gdo-worker`s —
+    /// send any; `gdo-served`'s in-process workers do not.
     pub want_progress: bool,
     /// Fault injection: panic the worker this many times before letting
-    /// the job run. Parsed unconditionally, honored only when the server
-    /// is built with the `fault-inject` feature.
+    /// the job run. Parsed unconditionally, honored only by workers
+    /// started with fault injection on (`gdo-worker --fault-inject`).
     pub panic_attempts: Option<u32>,
 }
 
@@ -172,7 +174,7 @@ pub struct SubmitRequest {
 /// # Errors
 ///
 /// A protocol-level message (malformed JSON, unknown `op`, missing or
-/// conflicting fields) the server echoes back as an `error` event.
+/// conflicting fields) the gateway echoes back as an `error` event.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = json::parse(line).map_err(|e| format!("malformed request JSON: {e}"))?;
     let op = v
@@ -380,7 +382,7 @@ pub fn verify_name(p: VerifyPolicy) -> String {
 pub enum Event {
     /// The job passed admission and is queued.
     Accepted {
-        /// Job id (server-assigned when the request carried none).
+        /// Job id (gateway-assigned when the request carried none).
         id: String,
         /// Queue lane.
         priority: Priority,
@@ -399,8 +401,7 @@ pub enum Event {
     Started {
         /// Job id.
         id: String,
-        /// Worker index (pool index on `gdo-served`, registration order
-        /// on the gateway).
+        /// Worker index, in the gateway's registration order.
         worker: usize,
         /// Circuit name being optimized.
         circuit: String,
@@ -481,7 +482,7 @@ pub enum Event {
         queue_depth: usize,
         /// Jobs currently running on workers.
         running: usize,
-        /// Whether the server is draining.
+        /// Whether the gateway is draining.
         draining: bool,
         /// Aggregate counters (`jobs_accepted`, `jobs_done`, …).
         counters: Vec<(&'static str, u64)>,
@@ -502,7 +503,7 @@ pub enum Event {
 
 impl Event {
     /// A `done`/`degraded` terminal with no cache or netlist decoration
-    /// — the common case on `gdo-served`.
+    /// — the common case of a fresh run.
     #[must_use]
     pub fn finished(id: String, degraded: bool, report: RunReport) -> Event {
         if degraded {

@@ -1,18 +1,18 @@
 //! `proto` — the wire protocols of the GDO serving stack.
 //!
-//! Extracted from `serve::protocol` when serving split into a gateway
-//! and worker processes: every process that speaks NDJSON — the
-//! single-process server (`gdo-served`), the front door
-//! (`gdo-gateway`), job runners (`gdo-worker`), and the client
-//! (`gdo-submit`) — parses and serializes through this one crate, so
-//! the protocols cannot drift between binaries.
+//! Every process that speaks NDJSON — the gateway in either deployment
+//! shape (`gdo-served`, `gdo-gateway`), its workers (in-process or
+//! `gdo-worker`), and the client (`gdo-submit`) — parses and serializes
+//! through this one crate, so the protocols cannot drift between
+//! binaries.
 //!
 //! - [`json`] — the minimal hand-rolled JSON reader (field-path error
 //!   context, full escape round-tripping).
-//! - [`client`] — client↔server requests ([`Request`], [`SubmitRequest`])
-//!   and response events ([`Event`]).
+//! - [`client`] — client↔gateway requests ([`Request`],
+//!   [`SubmitRequest`]) and response events ([`Event`]).
 //! - [`worker`] — gateway↔worker registration, job pull/assign,
-//!   heartbeats, progress, results.
+//!   heartbeats, progress, results — over TCP or an in-process pipe
+//!   pair.
 //! - [`report`] — parsing [`telemetry::RunReport`] back from its JSON
 //!   schema (the inverse of its writer).
 

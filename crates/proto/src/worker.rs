@@ -1,6 +1,7 @@
 //! The gateway↔worker NDJSON protocol.
 //!
-//! `gdo-worker` processes dial the gateway's worker port, introduce
+//! Workers — `gdo-worker` processes on the gateway's worker port, or
+//! `gdo-served`'s in-process workers on a pipe pair — introduce
 //! themselves (`hello` carries the worker's library digest — a worker
 //! built against a different cell library is rejected at the door, not
 //! discovered through wrong answers), then *pull* jobs: a worker sends
@@ -13,7 +14,9 @@
 //! `progress` lines; silence past the heartbeat deadline (or TCP EOF —
 //! a SIGKILL closes the socket immediately) tells the gateway the
 //! worker is gone, and the in-flight job is requeued to resume from its
-//! last checkpoint. Every job ends with exactly one `result` line.
+//! last checkpoint. A `cancel` for a job never precedes its `assign` on
+//! the wire, and `drain` tells an idle worker to exit. Every job ends
+//! with exactly one `result` line.
 //!
 //! Messages are tagged `"w"` (worker→gateway) and `"g"`
 //! (gateway→worker):

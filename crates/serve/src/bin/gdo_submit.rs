@@ -17,8 +17,7 @@
 //! degraded, 1 when any was rejected or failed, 2 usage, 5 connection
 //! errors.
 
-use serve::protocol::{parse_verify, submit_to_json, SubmitRequest};
-use serve::{JobSource, Priority};
+use proto::{parse_verify, submit_to_json, JobSource, Priority, SubmitRequest};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -221,7 +220,7 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
             let _ = writeln!(out, "{line}");
             let _ = out.flush();
         }
-        let event = serve::json::parse(&line)
+        let event = proto::json::parse(&line)
             .ok()
             .and_then(|v| v.get("event").and_then(|e| e.as_str().map(str::to_string)));
         match event.as_deref() {

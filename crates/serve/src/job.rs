@@ -1,32 +1,29 @@
-//! Job specification and execution: what one queued optimization is,
-//! and how a worker runs it (load → map → optimize under a [`Budget`]
+//! Job specification and execution: what one optimization is, and how
+//! a worker runs it (load → map → optimize under a [`Budget`]
 //! → per-job [`RunReport`]).
 
 use gdo::{Budget, EngineId, GdoConfig, GdoStats, OptimizeRequest, Pipeline, VerifyPolicy};
 use library::{Library, MapGoal, Mapper};
 use netlist::Netlist;
+use proto::{verify_name, InputFormat, ShippedInput};
 use std::path::PathBuf;
-use std::time::Duration;
 use telemetry::RunReport;
-
-use crate::protocol::verify_name;
-use crate::queue::Priority;
 
 // `JobSource` lives in the shared protocol crate (it is named on the
 // wire by every submit request); re-exported here for job execution.
 pub use proto::JobSource;
 
-/// One fully-specified job, defaults applied — what sits in the queue.
+/// Snapshot cadence of checkpointed jobs, in optimizer round
+/// boundaries. A job whose budget trips writes a final snapshot as well.
+pub const CHECKPOINT_EVERY: usize = 4;
+
+/// One fully-specified job, defaults applied — what a worker runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Unique job id (client-chosen or server-assigned `job-N`).
+    /// Unique job id (client-chosen or gateway-assigned `job-N`).
     pub id: String,
     /// What to optimize.
     pub source: JobSource,
-    /// Wall-clock budget for the optimization stage.
-    pub deadline: Option<Duration>,
-    /// Deterministic work-unit ceiling (before aggregate clamping).
-    pub work_limit: Option<u64>,
     /// BPFS seed. Per-job: two jobs with the same spec produce the same
     /// vector streams and therefore byte-identical report funnels, no
     /// matter which worker runs them.
@@ -40,26 +37,18 @@ pub struct JobSpec {
     pub engines: Vec<EngineId>,
     /// Partitioned optimization: cluster into roughly this many regions
     /// and optimize them region by region (`0` = whole-netlist run).
-    /// Region workers stay single-threaded — the server's worker pool is
-    /// the parallelism axis.
+    /// Region workers stay single-threaded — the workers are the
+    /// parallelism axis.
     pub partitions: usize,
-    /// Queue lane.
-    pub priority: Priority,
-    /// Snapshot path the run checkpoints to (client-chosen or the
-    /// server's journal-managed `<journal>/<id>.ckpt`).
+    /// Snapshot path the run checkpoints to every [`CHECKPOINT_EVERY`]
+    /// rounds (client-chosen or the gateway's journal-managed
+    /// `<journal>/<id>.ckpt`).
     pub checkpoint: Option<PathBuf>,
-    /// Checkpoint cadence in optimizer round boundaries.
-    pub checkpoint_every: usize,
     /// Snapshot path to resume from. A snapshot that is unreadable,
     /// corrupt, or from a different spec/input is rejected cleanly
     /// (counted in `snapshot.rejected`, noted in the report meta) and
     /// the job re-runs from scratch.
     pub resume: Option<PathBuf>,
-    /// Return the optimized netlist (mapped BLIF) in the terminal event.
-    pub want_netlist: bool,
-    /// Fault injection: panic the worker this many times before the job
-    /// is allowed to run (honored only with the `fault-inject` feature).
-    pub panic_attempts: u32,
 }
 
 /// How a finished job ended.
@@ -93,25 +82,30 @@ pub struct JobResult {
 
 /// Loads a job's netlist: suite entries are generated, files parsed by
 /// extension (`.bench` / `.blif`; BLIF with `.gate` lines is read as a
-/// mapped netlist against `lib`). Returns the netlist and whether it is
-/// already mapped.
+/// mapped netlist against `lib`). Returns the netlist, whether it is
+/// already mapped, and for file sources the file's text — what the
+/// gateway reads at admission and ships to the worker, so the worker's
+/// parse is byte-identical.
 ///
 /// # Errors
 ///
 /// A display string naming the source: unknown suite entries list the
 /// valid names, file problems carry the IO/parse error.
-pub fn load_job_netlist(lib: &Library, source: &JobSource) -> Result<(Netlist, bool), String> {
-    let (nl, mapped) = match source {
+pub fn load_job_netlist(
+    lib: &Library,
+    source: &JobSource,
+) -> Result<(Netlist, bool, Option<ShippedInput>), String> {
+    let (nl, mapped, shipped) = match source {
         JobSource::Suite(name) => {
             let entry = workloads::lookup_circuit(name).map_err(|e| e.to_string())?;
-            (entry.build(), false)
+            (entry.build(), false, None)
         }
         JobSource::File(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
             let format = match path.extension().and_then(|e| e.to_str()) {
-                Some("bench") => proto::InputFormat::Bench,
-                Some("blif") => proto::InputFormat::Blif,
+                Some("bench") => InputFormat::Bench,
+                Some("blif") => InputFormat::Blif,
                 other => {
                     return Err(format!(
                         "{}: cannot infer format from extension {other:?} (use .bench or .blif)",
@@ -119,35 +113,30 @@ pub fn load_job_netlist(lib: &Library, source: &JobSource) -> Result<(Netlist, b
                     ))
                 }
             };
-            parse_netlist_text(lib, format, &text)
-                .map_err(|e| format!("{}: {e}", path.display()))?
+            let (nl, mapped) = parse_netlist_text(lib, format, &text)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            (nl, mapped, Some(ShippedInput { format, text }))
         }
     };
     nl.validate()
         .map_err(|e| format!("invalid input netlist {}: {e}", source.describe()))?;
-    Ok((nl, mapped))
+    Ok((nl, mapped, shipped))
 }
 
 /// Parses netlist text in `format` (BLIF with `.gate` lines is read as
 /// a mapped netlist against `lib`). Returns the netlist and whether it
-/// is already mapped. Shared between file loading above and the
-/// gateway's shipped-input path, so a job's parse is byte-identical no
-/// matter which process runs it.
-///
-/// # Errors
-///
-/// The parse error's display string.
-pub fn parse_netlist_text(
+/// is already mapped, or the parse error's display string.
+fn parse_netlist_text(
     lib: &Library,
-    format: proto::InputFormat,
+    format: InputFormat,
     text: &str,
 ) -> Result<(Netlist, bool), String> {
     match format {
-        proto::InputFormat::Bench => Ok((
+        InputFormat::Bench => Ok((
             formats::parse_bench(text).map_err(|e| e.to_string())?,
             false,
         )),
-        proto::InputFormat::Blif => {
+        InputFormat::Blif => {
             if text.lines().any(|l| l.trim_start().starts_with(".gate")) {
                 Ok((
                     library::parse_mapped_blif(lib, text).map_err(|e| e.to_string())?,
@@ -164,16 +153,16 @@ pub fn parse_netlist_text(
 /// goal, skipped for pre-mapped inputs), optimize, and assemble the
 /// per-job [`RunReport`].
 ///
-/// The spec's own `deadline`/`work_limit` are *not* consulted here — the
-/// caller derives `budget` from them (plus the server-wide work
-/// ceiling), so cancellation and aggregate accounting stay in one place.
+/// The submission's `deadline_ms`/`work_limit` are not part of the spec:
+/// the worker builds `budget` from them, so cancellation and budget
+/// accounting stay in one place.
 ///
 /// # Errors
 ///
 /// A display string (load/parse/map/optimizer failure) for the job's
 /// `failed` event.
 pub fn run_job(lib: &Library, spec: &JobSpec, budget: &Budget) -> Result<JobResult, String> {
-    let (source_nl, mapped_input) = load_job_netlist(lib, &spec.source)?;
+    let (source_nl, mapped_input, _) = load_job_netlist(lib, &spec.source)?;
     let mut nl = if mapped_input {
         source_nl
     } else {
@@ -189,8 +178,8 @@ pub fn run_job(lib: &Library, spec: &JobSpec, budget: &Budget) -> Result<JobResu
     if let Some(vectors) = spec.vectors {
         cfg = cfg.vectors(vectors);
     }
-    // One BPFS thread per job: the worker pool is the parallelism axis
-    // of the server, and a single-threaded inner loop keeps a job's cost
+    // One BPFS thread per job: the workers are the parallelism axis of
+    // the service, and a single-threaded inner loop keeps a job's cost
     // predictable no matter how many workers share the machine.
     let cfg = cfg.threads(1).build().map_err(|e| e.to_string())?;
 
@@ -208,7 +197,7 @@ pub fn run_job(lib: &Library, spec: &JobSpec, budget: &Budget) -> Result<JobResu
     let ckpt_spec = spec
         .checkpoint
         .as_ref()
-        .map(|p| gdo::CheckpointSpec::new(p.clone()).every(spec.checkpoint_every.max(1)));
+        .map(|p| gdo::CheckpointSpec::new(p.clone()).every(CHECKPOINT_EVERY));
     // A rejected snapshot (unreadable, corrupt, wrong spec or input) must
     // never sink the job: note it, count it, and re-run from scratch —
     // the journal replay already guarantees the job itself is not lost.
@@ -324,19 +313,13 @@ mod tests {
         JobSpec {
             id: "t1".to_string(),
             source,
-            deadline: None,
-            work_limit: None,
             seed: 1995,
             vectors: Some(64),
             verify: VerifyPolicy::Off,
             engines: vec![EngineId::Gdo],
             partitions: 0,
-            priority: Priority::Normal,
             checkpoint: None,
-            checkpoint_every: 1,
             resume: None,
-            want_netlist: false,
-            panic_attempts: 0,
         }
     }
 

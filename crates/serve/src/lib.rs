@@ -1,32 +1,25 @@
-//! `serve` — a concurrent batch-optimization service around the GDO
-//! pipeline.
+//! `serve` — the job layer of the GDO serving stack, and its client.
 //!
-//! The crate turns the one-shot `gdo-opt` flow into a long-lived
-//! service: a bounded multi-producer/multi-consumer [`queue`] with
-//! priority lanes and explicit backpressure feeds a fixed pool of
-//! workers, each running one optimization at a time under a per-job
-//! [`gdo::Budget`] (plus an optional server-wide work ceiling). Requests
-//! and responses travel as NDJSON over TCP (`gdo-served`) or stdin
-//! batch mode, hand-rolled like the rest of the workspace — no external
-//! dependencies.
+//! The stack itself — admission, the result cache, workers and the
+//! `gdo-served` / `gdo-gateway` binaries — lives in the `gateway`
+//! crate. This crate holds the parts it is built from:
 //!
-//! - [`queue`] — the bounded priority queue (admission control).
-//! - [`protocol`] — NDJSON request parsing and response events.
-//! - [`job`] — job specs and single-job execution on a worker.
-//! - [`server`] — the worker pool, cancel-by-id, and graceful drain.
-//! - [`json`] — the minimal JSON reader behind [`protocol`].
+//! - [`job`] — job specs and single-job execution on a worker (load →
+//!   map → optimize under a [`gdo::Budget`] → per-job report).
+//! - [`queue`] — the bounded priority queue (admission control and
+//!   backpressure).
+//! - [`wal`] — the durable job journal behind restart recovery.
+//!
+//! Its one binary is `gdo-submit`, the NDJSON client of either
+//! deployment shape. Requests, responses and the JSON reader live in
+//! the shared `proto` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod job;
-pub mod json;
-pub mod protocol;
 pub mod queue;
-pub mod server;
 pub mod wal;
 
 pub use job::{JobOutcome, JobResult, JobSource, JobSpec};
-pub use protocol::{Event, Request, SubmitRequest};
 pub use queue::{Admission, JobQueue, Priority, PushError};
-pub use server::{output_from, Output, Server, ServerConfig};

@@ -2,7 +2,7 @@
 //! lanes and explicit backpressure.
 //!
 //! The queue is the admission control point of the service: its capacity
-//! bounds the server's memory and its [`Admission`] policy decides what
+//! bounds the service's memory and its [`Admission`] policy decides what
 //! happens when traffic exceeds it — block the submitter (backpressure
 //! propagates to the client connection) or reject immediately with
 //! [`PushError::Full`] so the client can retry elsewhere.
@@ -11,7 +11,7 @@
 //! always dequeued before any waiting `Normal` or `Low` item), FIFO
 //! within each lane. Closing the queue stops admission immediately but
 //! lets consumers drain every item already accepted — the mechanism
-//! behind graceful server drain.
+//! behind graceful drain.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -56,7 +56,7 @@ impl Admission {
 pub enum PushError {
     /// The queue is at capacity and the policy is [`Admission::Reject`].
     Full,
-    /// The queue was closed (server draining); nothing is admitted.
+    /// The queue was closed (draining); nothing is admitted.
     Closed,
 }
 
@@ -148,12 +148,33 @@ impl<T> JobQueue<T> {
                 }
             }
         }
+        self.enqueue(inner, item, priority);
+        Ok(())
+    }
+
+    /// Enqueues an item that passed admission once already: a job whose
+    /// worker died or panicked, or one a restarted gateway recovers from
+    /// its journal. Its slot was granted then, and the threads that put
+    /// it back must not block, so the capacity check is skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::Closed`] once [`close`](Self::close) was called.
+    pub fn readmit(&self, item: T, priority: Priority) -> Result<(), PushError> {
+        let inner = self.lock();
+        if inner.closed {
+            return Err(PushError::Closed);
+        }
+        self.enqueue(inner, item, priority);
+        Ok(())
+    }
+
+    fn enqueue(&self, mut inner: std::sync::MutexGuard<'_, Inner<T>>, item: T, priority: Priority) {
         inner.lanes[priority.lane()].push_back(item);
         inner.len += 1;
         inner.depth_max = inner.depth_max.max(inner.len);
         drop(inner);
         self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Dequeues the next item (highest lane first, FIFO within a lane),
@@ -327,6 +348,19 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.blocked_pushes(), 1);
         assert_eq!(q.depth_max(), 1, "capacity was never exceeded");
+    }
+
+    #[test]
+    fn readmit_skips_the_capacity_check_but_not_close() {
+        let q = JobQueue::new(1);
+        q.push(1, Priority::Normal, Admission::Reject).unwrap();
+        q.readmit(2, Priority::High).unwrap();
+        assert_eq!(q.len(), 2);
+        q.close();
+        assert_eq!(q.readmit(3, Priority::Normal), Err(PushError::Closed));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Durable job journal (write-ahead log) for crash recovery.
 //!
-//! When the server runs with a journal directory, every accepted job
+//! When the gateway runs with a journal directory, every accepted job
 //! appends one `job` record before its `accepted` event goes out, and
 //! every terminal appends one `terminal` record *before* the terminal
 //! event is emitted. After a crash, [`replay`] partitions the journal
 //! into finished and unfinished jobs: an id with a `job` record but no
 //! `terminal` record was accepted and never concluded, so the restarted
-//! server re-enqueues it (resuming from its last snapshot when one is
+//! gateway re-enqueues it (resuming from its last snapshot when one is
 //! readable). Writing the terminal record first means a crash between
 //! journal append and event emission loses the *notification*, never the
 //! *decision* — the job is not run a second time, so each accepted id
@@ -20,13 +20,13 @@
 //! ```
 //!
 //! The `spec` object is exactly the wire-format submit request
-//! ([`crate::protocol::submit_to_json`]), reparsed on replay by the same
-//! parser the server uses for live connections — the journal cannot
+//! ([`proto::submit_to_json`]), reparsed on replay by the same parser
+//! the gateway uses for live connections — the journal cannot
 //! drift from the protocol. A torn final line (the crash happened
 //! mid-append) is skipped; every complete line before it replays.
 
-use crate::json::{self, Json};
-use crate::protocol::SubmitRequest;
+use proto::json::{self, Json};
+use proto::SubmitRequest;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -43,7 +43,7 @@ pub struct Wal {
 
 impl Wal {
     /// Opens (creating as needed) the journal in `dir`, appending to any
-    /// records a previous server process left behind.
+    /// records a previous gateway process left behind.
     ///
     /// # Errors
     ///
@@ -104,7 +104,7 @@ pub struct Replay {
     pub unfinished: Vec<RecoveredJob>,
     /// Jobs that reached a terminal outcome (id, outcome).
     pub finished: Vec<(String, String)>,
-    /// The highest `job-N` numeric suffix seen — the restarted server
+    /// The highest `job-N` numeric suffix seen — the restarted gateway
     /// starts assigning ids above it so recovered and new jobs never
     /// collide.
     pub max_numeric_id: u64,
@@ -171,7 +171,7 @@ fn parse_record(line: &str) -> Option<(RecordKind, String, Json)> {
     let id = v.get("id")?.as_str()?.to_string();
     match v.get("wal")?.as_str()? {
         "job" => {
-            let spec = crate::protocol::parse_submit_value(v.get("spec")?).ok()?;
+            let spec = proto::parse_submit_value(v.get("spec")?).ok()?;
             Some((RecordKind::Job(Box::new(spec)), id, v))
         }
         "terminal" => Some((RecordKind::Terminal, id, v)),
@@ -183,8 +183,8 @@ fn parse_record(line: &str) -> Option<(RecordKind, String, Json)> {
 mod tests {
     use super::*;
     use crate::job::JobSource;
-    use crate::protocol::submit_to_json;
     use crate::queue::Priority;
+    use proto::submit_to_json;
 
     fn spec(circuit: &str) -> SubmitRequest {
         SubmitRequest {
