@@ -770,14 +770,7 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
     }
 
     if options.verify {
-        let reference = if options.no_map {
-            source
-        } else {
-            // The mapped netlist was already proved against the source by
-            // per-rewrite proofs; verify end-to-end against the source.
-            source
-        };
-        if !sat::check_equiv(&reference, &nl)
+        if !gdo::netlists_equivalent(&source, &nl)
             .map_err(|e| CliError::Parse(format!("verification setup failed: {e}")))?
         {
             return Err(CliError::VerificationFailed);

@@ -675,20 +675,57 @@ impl SafetyNet {
     }
 }
 
-/// Equivalence oracle for checkpoint verification: exhaustive simulation
-/// for tiny interfaces, a SAT miter otherwise.
-pub(crate) fn netlists_equivalent(
-    reference: &Netlist,
-    candidate: &Netlist,
-) -> Result<bool, GdoError> {
+/// Simulation vectors and seed guiding [`netlists_equivalent`]'s sweep.
+/// They steer how candidates pair up, never the verdict.
+const SWEEP_VECTORS: usize = 256;
+const SWEEP_SEED: u64 = 0x5eed;
+
+/// The whole-netlist equivalence check behind resub proofs, checkpoint
+/// verification and `gdo-opt --verify`: exhaustive simulation for
+/// interfaces of 12 inputs or fewer, a simulation-guided sweep
+/// ([`sat::check_equiv_sweep_stats`]) otherwise. A netlist whose PI/PO
+/// interface differs from the reference's is not equivalent.
+///
+/// # Errors
+///
+/// [`GdoError::Netlist`] if either netlist is cyclic.
+///
+/// # Panics
+///
+/// Panics if a reference of 12 inputs or fewer meets a candidate with a
+/// different interface (the exhaustive check requires equal ones).
+pub fn netlists_equivalent(reference: &Netlist, candidate: &Netlist) -> Result<bool, GdoError> {
     if reference.inputs().len() <= 12 {
         return Ok(reference.equiv_exhaustive(candidate)?);
     }
-    match sat::check_equiv(reference, candidate) {
-        Ok(eq) => Ok(eq),
+    match sat::check_equiv_sweep_stats(reference, candidate, SWEEP_VECTORS, SWEEP_SEED) {
+        Ok((eq, stats)) => {
+            record_sweep_stats(stats);
+            Ok(eq)
+        }
         Err(sat::EquivError::Netlist(e)) => Err(e.into()),
         // A changed PI/PO interface is by definition not equivalent.
         Err(_) => Ok(false),
+    }
+}
+
+/// Accumulates one sweep's work on the `sweep.*` counters; the `sat`
+/// crate itself carries no telemetry.
+fn record_sweep_stats(s: sat::SweepStats) {
+    if !telemetry::enabled() {
+        return;
+    }
+    telemetry::counter_add("sweep.checks", 1);
+    for (name, value) in [
+        ("sweep.candidates", s.candidates),
+        ("sweep.merged", s.merged),
+        ("sweep.refuted", s.refuted),
+        ("sweep.gave_up", s.gave_up),
+        ("sweep.tt_merged", s.tt_merged),
+        ("sweep.window_merged", s.window_merged),
+        ("sweep.sat_calls", s.sat_calls),
+    ] {
+        telemetry::counter_add(name, value as u64);
     }
 }
 

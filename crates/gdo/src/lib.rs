@@ -85,7 +85,10 @@ pub use candidates::{
     pair_candidates, pair_candidates_counted, CandidateConfig, CandidateContext, CandidateCounts,
 };
 pub use cex::CexPool;
-pub use engine::{Engine, EngineCounters, EngineId, OptimizeContext, OptimizeRequest, Pipeline};
+pub use engine::{
+    netlists_equivalent, Engine, EngineCounters, EngineId, OptimizeContext, OptimizeRequest,
+    Pipeline,
+};
 pub use error::GdoError;
 pub use optimizer::{
     optimize, GdoConfig, GdoConfigBuilder, GdoEngine, GdoStats, RegionConstraints,

@@ -294,7 +294,7 @@ fn try_target(
     }
     ctx.stats.engines[EngineId::Resub.index()].filtered += 1;
 
-    // Signatures proposed; the miter decides.
+    // Signatures proposed; the equivalence sweep decides.
     ctx.stats.proofs += 1;
     ctx.budget.charge(1);
     if !netlists_equivalent(snapshot, ctx.nl)? {

@@ -89,6 +89,18 @@ impl Netlist {
                 replacement: new,
             });
         }
+        self.redirect_stem(old, new);
+        Ok(())
+    }
+
+    /// [`substitute_stem`](Self::substitute_stem) without its checks, for
+    /// passes that know `new` is live and outside the transitive fanout
+    /// of `old` (it precedes `old` in the pass's topological order, say),
+    /// sparing the fanout walk that makes one substitution linear.
+    pub(crate) fn redirect_stem(&mut self, old: SignalId, new: SignalId) {
+        if old == new {
+            return;
+        }
         let uses = std::mem::take(&mut self.fanouts[old.index()]);
         for user in &uses {
             match *user {
@@ -107,7 +119,6 @@ impl Netlist {
         self.fanouts[new.index()].extend(uses);
         self.touch(old);
         self.touch(new);
-        Ok(())
     }
 
     /// Deletes a gate cell outright. The cell must have no remaining

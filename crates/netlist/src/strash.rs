@@ -21,6 +21,7 @@ impl Netlist {
     /// [`NetlistError::CycleDetected`] if the netlist is cyclic.
     pub fn strash(&mut self) -> Result<usize, NetlistError> {
         let order = self.topo_order()?;
+        let rank = topo_rank(&order, self.capacity(), 1);
         let mut table: HashMap<(GateKind, Vec<SignalId>, Option<u32>), SignalId> = HashMap::new();
         // Union-find-free approach: process in topo order and track the
         // representative of every merged signal so later keys are built on
@@ -39,7 +40,10 @@ impl Netlist {
             let key = (kind, fanins, self.cell(s).lib());
             match table.get(&key) {
                 Some(&canon) => {
-                    self.substitute_stem(s, canon)?;
+                    // `canon` was visited first, so it precedes `s`; edges
+                    // only climb in rank, so no loop can close.
+                    debug_assert!(rank[canon.index()] < rank[s.index()]);
+                    self.redirect_stem(s, canon);
                     rep[s.index()] = canon;
                     merged += 1;
                 }
@@ -81,6 +85,10 @@ impl Netlist {
 
     fn sweep_pass(&mut self) -> Result<usize, NetlistError> {
         let order = self.topo_order()?;
+        // Ranks spaced by two, so a gate built to replace `s` fits just
+        // below it. Every edge climbs in rank, before and after each
+        // redirect, so redirecting `s` to a lower rank cannot close a loop.
+        let mut rank = topo_rank(&order, self.capacity(), 2);
         let mut rewrites = 0;
         for s in order {
             if !self.is_live(s) || self.fanouts(s).is_empty() {
@@ -89,7 +97,19 @@ impl Netlist {
             }
             if let Some(replacement) = self.simplified(s)? {
                 if replacement != s {
-                    self.substitute_stem(s, replacement)?;
+                    // The replacement is a fanin of `s` or of one of its
+                    // fanins, a constant, or a gate just built from `s`'s
+                    // fanins.
+                    rank.resize(self.capacity(), usize::MAX);
+                    if rank[replacement.index()] == usize::MAX {
+                        rank[replacement.index()] = rank[s.index()] - 1;
+                    }
+                    debug_assert!(rank[replacement.index()] < rank[s.index()]);
+                    debug_assert!(self
+                        .fanins(replacement)
+                        .iter()
+                        .all(|f| rank[f.index()] < rank[replacement.index()]));
+                    self.redirect_stem(s, replacement);
                     rewrites += 1;
                 }
             }
@@ -221,6 +241,16 @@ impl Netlist {
             }
         }
     }
+}
+
+/// Each signal's position in `order` times `spacing`, plus one;
+/// `usize::MAX` for slots not in it.
+fn topo_rank(order: &[SignalId], capacity: usize, spacing: usize) -> Vec<usize> {
+    let mut rank = vec![usize::MAX; capacity];
+    for (i, s) in order.iter().enumerate() {
+        rank[s.index()] = spacing * i + 1;
+    }
+    rank
 }
 
 #[cfg(test)]

@@ -112,107 +112,11 @@ impl CircuitCnf {
         self.solver.new_var()
     }
 
-    /// Encodes `y = kind(inputs)` over existing solver variables; shared
-    /// with the fault-cone construction in [`crate::ClauseProver`].
-    pub(crate) fn encode_function(&mut self, y: Var, kind: GateKind, ins: &[Var]) {
-        let s = &mut self.solver;
-        let yl = Lit::pos(y);
-        match kind {
-            GateKind::Input => {}
-            GateKind::Const0 => {
-                s.add_clause(&[!yl]);
-            }
-            GateKind::Const1 => {
-                s.add_clause(&[yl]);
-            }
-            GateKind::Buf => {
-                s.add_clause(&[!yl, Lit::pos(ins[0])]);
-                s.add_clause(&[yl, Lit::neg(ins[0])]);
-            }
-            GateKind::Not => {
-                s.add_clause(&[!yl, Lit::neg(ins[0])]);
-                s.add_clause(&[yl, Lit::pos(ins[0])]);
-            }
-            GateKind::And | GateKind::Nand => {
-                // `all` is the output literal asserted when every input is
-                // high: y for AND, !y for NAND. Clauses: (!all + x_i) for
-                // each input and (all + !x_1 + ... + !x_n).
-                let all = if kind == GateKind::And { yl } else { !yl };
-                for &x in ins {
-                    s.add_clause(&[!all, Lit::pos(x)]);
-                }
-                let mut wide: Vec<Lit> = ins.iter().map(|&x| Lit::neg(x)).collect();
-                wide.push(all);
-                s.add_clause(&wide);
-            }
-            GateKind::Or | GateKind::Nor => {
-                let high = if kind == GateKind::Or { yl } else { !yl };
-                for &x in ins {
-                    s.add_clause(&[high, Lit::neg(x)]);
-                }
-                let mut wide: Vec<Lit> = ins.iter().map(|&x| Lit::pos(x)).collect();
-                wide.push(!high);
-                s.add_clause(&wide);
-            }
-            GateKind::Xor | GateKind::Xnor => {
-                // Chain through auxiliary parity variables.
-                let mut acc = ins[0];
-                for &x in &ins[1..ins.len() - 1] {
-                    let t = s.new_var();
-                    encode_xor2(s, t, acc, x);
-                    acc = t;
-                }
-                let last = ins[ins.len() - 1];
-                if kind == GateKind::Xor {
-                    encode_xor2(s, y, acc, last);
-                } else {
-                    let t = s.new_var();
-                    encode_xor2(s, t, acc, last);
-                    s.add_clause(&[!yl, Lit::neg(t)]);
-                    s.add_clause(&[yl, Lit::pos(t)]);
-                }
-            }
-            GateKind::Aoi21 | GateKind::Oai21 | GateKind::Aoi22 | GateKind::Oai22 => {
-                // Decompose through auxiliary variables.
-                match kind {
-                    GateKind::Aoi21 => {
-                        let t = s.new_var();
-                        encode_and2(s, t, ins[0], ins[1]);
-                        // y = NOR(t, c)
-                        s.add_clause(&[!yl, Lit::neg(t)]);
-                        s.add_clause(&[!yl, Lit::neg(ins[2])]);
-                        s.add_clause(&[yl, Lit::pos(t), Lit::pos(ins[2])]);
-                    }
-                    GateKind::Oai21 => {
-                        let t = s.new_var();
-                        encode_or2(s, t, ins[0], ins[1]);
-                        // y = NAND(t, c)
-                        s.add_clause(&[yl, Lit::pos(t)]);
-                        s.add_clause(&[yl, Lit::pos(ins[2])]);
-                        s.add_clause(&[!yl, Lit::neg(t), Lit::neg(ins[2])]);
-                    }
-                    GateKind::Aoi22 => {
-                        let t1 = s.new_var();
-                        let t2 = s.new_var();
-                        encode_and2(s, t1, ins[0], ins[1]);
-                        encode_and2(s, t2, ins[2], ins[3]);
-                        s.add_clause(&[!yl, Lit::neg(t1)]);
-                        s.add_clause(&[!yl, Lit::neg(t2)]);
-                        s.add_clause(&[yl, Lit::pos(t1), Lit::pos(t2)]);
-                    }
-                    GateKind::Oai22 => {
-                        let t1 = s.new_var();
-                        let t2 = s.new_var();
-                        encode_or2(s, t1, ins[0], ins[1]);
-                        encode_or2(s, t2, ins[2], ins[3]);
-                        s.add_clause(&[yl, Lit::pos(t1)]);
-                        s.add_clause(&[yl, Lit::pos(t2)]);
-                        s.add_clause(&[!yl, Lit::neg(t1), Lit::neg(t2)]);
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
+    /// Encodes `y = kind(inputs)` over existing solver literals; shared
+    /// with miters and the fault-cone construction in
+    /// [`crate::ClauseProver`].
+    pub(crate) fn encode_function(&mut self, y: Var, kind: GateKind, ins: &[Lit]) {
+        encode_gate(&mut self.solver, Lit::pos(y), kind, ins);
     }
 
     fn encode_gate(&mut self, nl: &Netlist, s: SignalId) {
@@ -221,28 +125,129 @@ impl CircuitCnf {
             return;
         }
         let y = self.var(s);
-        let ins: Vec<Var> = nl.fanins(s).iter().map(|&f| self.var(f)).collect();
+        let ins: Vec<Lit> = nl
+            .fanins(s)
+            .iter()
+            .map(|&f| Lit::pos(self.var(f)))
+            .collect();
         self.encode_function(y, kind, &ins);
     }
 }
 
-fn encode_and2(s: &mut Solver, y: Var, a: Var, b: Var) {
-    s.add_clause(&[Lit::neg(y), Lit::pos(a)]);
-    s.add_clause(&[Lit::neg(y), Lit::pos(b)]);
-    s.add_clause(&[Lit::pos(y), Lit::neg(a), Lit::neg(b)]);
+/// Encodes `y = kind(ins)` into `s`. Inputs and output are literals, so
+/// a complemented fanin (as in the sweep's merged graph) needs no
+/// inverter variable.
+pub(crate) fn encode_gate(s: &mut Solver, yl: Lit, kind: GateKind, ins: &[Lit]) {
+    match kind {
+        GateKind::Input => {}
+        GateKind::Const0 => {
+            s.add_clause(&[!yl]);
+        }
+        GateKind::Const1 => {
+            s.add_clause(&[yl]);
+        }
+        GateKind::Buf => {
+            s.add_clause(&[!yl, ins[0]]);
+            s.add_clause(&[yl, !ins[0]]);
+        }
+        GateKind::Not => {
+            s.add_clause(&[!yl, !ins[0]]);
+            s.add_clause(&[yl, ins[0]]);
+        }
+        GateKind::And | GateKind::Nand => {
+            // `all` is the output literal asserted when every input is
+            // high: y for AND, !y for NAND. Clauses: (!all + x_i) for
+            // each input and (all + !x_1 + ... + !x_n).
+            let all = if kind == GateKind::And { yl } else { !yl };
+            for &x in ins {
+                s.add_clause(&[!all, x]);
+            }
+            let mut wide: Vec<Lit> = ins.iter().map(|&x| !x).collect();
+            wide.push(all);
+            s.add_clause(&wide);
+        }
+        GateKind::Or | GateKind::Nor => {
+            let high = if kind == GateKind::Or { yl } else { !yl };
+            for &x in ins {
+                s.add_clause(&[high, !x]);
+            }
+            let mut wide: Vec<Lit> = ins.to_vec();
+            wide.push(!high);
+            s.add_clause(&wide);
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            // Chain through auxiliary parity variables.
+            let mut acc = ins[0];
+            for &x in &ins[1..ins.len() - 1] {
+                let t = Lit::pos(s.new_var());
+                encode_xor2(s, t, acc, x);
+                acc = t;
+            }
+            let last = ins[ins.len() - 1];
+            if kind == GateKind::Xor {
+                encode_xor2(s, yl, acc, last);
+            } else {
+                let t = Lit::pos(s.new_var());
+                encode_xor2(s, t, acc, last);
+                s.add_clause(&[!yl, !t]);
+                s.add_clause(&[yl, t]);
+            }
+        }
+        GateKind::Aoi21 => {
+            // y = NOR(AND(a, b), c)
+            let t = Lit::pos(s.new_var());
+            encode_and2(s, t, ins[0], ins[1]);
+            s.add_clause(&[!yl, !t]);
+            s.add_clause(&[!yl, !ins[2]]);
+            s.add_clause(&[yl, t, ins[2]]);
+        }
+        GateKind::Oai21 => {
+            // y = NAND(OR(a, b), c)
+            let t = Lit::pos(s.new_var());
+            encode_or2(s, t, ins[0], ins[1]);
+            s.add_clause(&[yl, t]);
+            s.add_clause(&[yl, ins[2]]);
+            s.add_clause(&[!yl, !t, !ins[2]]);
+        }
+        GateKind::Aoi22 => {
+            let t1 = Lit::pos(s.new_var());
+            let t2 = Lit::pos(s.new_var());
+            encode_and2(s, t1, ins[0], ins[1]);
+            encode_and2(s, t2, ins[2], ins[3]);
+            s.add_clause(&[!yl, !t1]);
+            s.add_clause(&[!yl, !t2]);
+            s.add_clause(&[yl, t1, t2]);
+        }
+        GateKind::Oai22 => {
+            let t1 = Lit::pos(s.new_var());
+            let t2 = Lit::pos(s.new_var());
+            encode_or2(s, t1, ins[0], ins[1]);
+            encode_or2(s, t2, ins[2], ins[3]);
+            s.add_clause(&[yl, t1]);
+            s.add_clause(&[yl, t2]);
+            s.add_clause(&[!yl, !t1, !t2]);
+        }
+    }
 }
 
-fn encode_or2(s: &mut Solver, y: Var, a: Var, b: Var) {
-    s.add_clause(&[Lit::pos(y), Lit::neg(a)]);
-    s.add_clause(&[Lit::pos(y), Lit::neg(b)]);
-    s.add_clause(&[Lit::neg(y), Lit::pos(a), Lit::pos(b)]);
+fn encode_and2(s: &mut Solver, y: Lit, a: Lit, b: Lit) {
+    s.add_clause(&[!y, a]);
+    s.add_clause(&[!y, b]);
+    s.add_clause(&[y, !a, !b]);
 }
 
-pub(crate) fn encode_xor2(s: &mut Solver, y: Var, a: Var, b: Var) {
-    s.add_clause(&[Lit::neg(y), Lit::pos(a), Lit::pos(b)]);
-    s.add_clause(&[Lit::neg(y), Lit::neg(a), Lit::neg(b)]);
-    s.add_clause(&[Lit::pos(y), Lit::neg(a), Lit::pos(b)]);
-    s.add_clause(&[Lit::pos(y), Lit::pos(a), Lit::neg(b)]);
+fn encode_or2(s: &mut Solver, y: Lit, a: Lit, b: Lit) {
+    s.add_clause(&[y, !a]);
+    s.add_clause(&[y, !b]);
+    s.add_clause(&[!y, a, b]);
+}
+
+/// Encodes `y = a XOR b`.
+pub(crate) fn encode_xor2(s: &mut Solver, y: Lit, a: Lit, b: Lit) {
+    s.add_clause(&[!y, a, b]);
+    s.add_clause(&[!y, !a, !b]);
+    s.add_clause(&[y, !a, b]);
+    s.add_clause(&[y, a, !b]);
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@
 //!   of Section 2 of the paper (each gate contributes the clauses of its
 //!   consistency function);
 //! * [`check_equiv`] — miter-based combinational equivalence;
+//! * [`check_equiv_sweep`] — simulation-guided equivalence checking that
+//!   merges proven-equal signals and proves candidates locally, for
+//!   whole netlists of any size;
 //! * [`ClauseProver`] — decides validity of the paper's observability
 //!   clauses `(!O_a + l_1 + ... + l_k)` exactly, by building a faulty copy
 //!   of the fanout cone of `a` and asking for a distinguishing vector.

@@ -41,17 +41,28 @@ impl From<NetlistError> for EquivError {
     }
 }
 
-/// Encodes both netlists into one solver with positionally shared
-/// inputs, returning the encoding (indexed by `a`'s signals) and the
-/// variable of each of `b`'s signal slots. The building block behind
-/// [`build_miter`] and the sweeping checker in [`crate::sweep`].
-pub(crate) fn encode_pair(a: &Netlist, b: &Netlist) -> Result<(CircuitCnf, Vec<Var>), EquivError> {
+/// Fails unless `a` and `b` have equally many inputs and outputs, which
+/// every equivalence check matches positionally.
+pub(crate) fn check_interfaces(a: &Netlist, b: &Netlist) -> Result<(), EquivError> {
     if a.inputs().len() != b.inputs().len() || a.outputs().len() != b.outputs().len() {
         return Err(EquivError::InterfaceMismatch {
             left: (a.inputs().len(), a.outputs().len()),
             right: (b.inputs().len(), b.outputs().len()),
         });
     }
+    Ok(())
+}
+
+/// Builds a miter of two netlists into one solver: inputs are shared
+/// positionally, corresponding outputs are XORed, and the returned literal
+/// is true iff some output pair differs.
+///
+/// # Errors
+///
+/// [`EquivError::InterfaceMismatch`] if the interfaces differ, or
+/// [`EquivError::Netlist`] if either netlist is cyclic.
+pub fn build_miter(a: &Netlist, b: &Netlist) -> Result<(CircuitCnf, Lit), EquivError> {
+    check_interfaces(a, b)?;
     let mut enc = CircuitCnf::build(a)?;
     // Encode b over fresh variables, except inputs which alias a's.
     let mut b_vars: Vec<Var> = Vec::with_capacity(b.capacity());
@@ -71,30 +82,21 @@ pub(crate) fn encode_pair(a: &Netlist, b: &Netlist) -> Result<(CircuitCnf, Vec<V
         if kind == netlist::GateKind::Input {
             continue;
         }
-        let ins: Vec<Var> = b.fanins(s).iter().map(|&f| b_vars[f.index()]).collect();
+        let ins: Vec<Lit> = b
+            .fanins(s)
+            .iter()
+            .map(|&f| Lit::pos(b_vars[f.index()]))
+            .collect();
         let y = b_vars[s.index()];
         enc.encode_function(y, kind, &ins);
     }
-    Ok((enc, b_vars))
-}
-
-/// Builds a miter of two netlists into one solver: inputs are shared
-/// positionally, corresponding outputs are XORed, and the returned literal
-/// is true iff some output pair differs.
-///
-/// # Errors
-///
-/// [`EquivError::InterfaceMismatch`] if the interfaces differ, or
-/// [`EquivError::Netlist`] if either netlist is cyclic.
-pub fn build_miter(a: &Netlist, b: &Netlist) -> Result<(CircuitCnf, Lit), EquivError> {
-    let (mut enc, b_vars) = encode_pair(a, b)?;
     // XOR each output pair; OR the differences.
     let mut diffs: Vec<Lit> = Vec::with_capacity(a.outputs().len());
     for (pa, pb) in a.outputs().iter().zip(b.outputs()) {
         let d = enc.new_aux();
         let av = enc.var(pa.driver());
         let bv = b_vars[pb.driver().index()];
-        encode_xor2(enc.solver_mut(), d, av, bv);
+        encode_xor2(enc.solver_mut(), Lit::pos(d), Lit::pos(av), Lit::pos(bv));
         diffs.push(Lit::pos(d));
     }
     let any = enc.new_aux();

@@ -179,16 +179,16 @@ impl ClauseProver {
                 enc.solver_mut().add_clause(&[Lit::pos(inv), Lit::pos(sv)]);
                 enc.solver_mut().add_clause(&[Lit::neg(inv), Lit::neg(sv)]);
                 let fc = enc.new_aux();
-                let ins: Vec<Var> = nl
+                let ins: Vec<Lit> = nl
                     .fanins(c)
                     .iter()
                     .enumerate()
                     .map(|(pin, &f)| {
-                        if pin == branch.pin as usize {
+                        Lit::pos(if pin == branch.pin as usize {
                             inv
                         } else {
                             enc.var(f)
-                        }
+                        })
                     })
                     .collect();
                 enc.encode_function(fc, nl.kind(c), &ins);
@@ -207,10 +207,10 @@ impl ClauseProver {
                 continue;
             }
             let fs = enc.new_aux();
-            let ins: Vec<Var> = nl
+            let ins: Vec<Lit> = nl
                 .fanins(s)
                 .iter()
-                .map(|f| faulty.get(f).copied().unwrap_or_else(|| enc.var(*f)))
+                .map(|f| Lit::pos(faulty.get(f).copied().unwrap_or_else(|| enc.var(*f))))
                 .collect();
             enc.encode_function(fs, nl.kind(s), &ins);
             faulty.insert(s, fs);
@@ -224,7 +224,12 @@ impl ClauseProver {
             if let Some(&fv) = faulty.get(&d) {
                 let diff = enc.new_aux();
                 let gv = enc.var(d);
-                crate::encode::encode_xor2(enc.solver_mut(), diff, gv, fv);
+                crate::encode::encode_xor2(
+                    enc.solver_mut(),
+                    Lit::pos(diff),
+                    Lit::pos(gv),
+                    Lit::pos(fv),
+                );
                 diffs.push(Lit::pos(diff));
             }
         }
