@@ -1253,7 +1253,9 @@ fn emit(out: &Output, event: &Event) {
 }
 
 /// Non-blocking accept loop shared by the client and worker listeners:
-/// one thread per connection, exits once the gateway shuts down.
+/// one thread per connection, exits once the gateway shuts down. Every
+/// accepted stream has `TCP_NODELAY` set, so a line goes out as soon as
+/// it is written, not when the peer acknowledges the previous one.
 fn accept_loop(
     listener: &TcpListener,
     gw: &Arc<Gateway>,
@@ -1266,6 +1268,7 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let _ = stream.set_nonblocking(false);
+                let _ = stream.set_nodelay(true);
                 let gw = Arc::clone(gw);
                 let handler = Arc::clone(&handler);
                 conns.push(std::thread::spawn(move || handler(&gw, stream)));

@@ -74,6 +74,9 @@ impl Default for WorkerOptions {
 /// mismatch), or an IO error during the handshake.
 pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+    // `result` and the `pull` behind it go out back to back: neither may
+    // wait for the gateway to acknowledge the other.
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     telemetry::enable();
     serve_link(reader, output_from(stream), opts)

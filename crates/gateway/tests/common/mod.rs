@@ -69,9 +69,12 @@ impl Client {
         }
     }
 
+    /// Sends one request line, newline included, in one write: a line
+    /// split over two writes would wait for the gateway's delayed ACK.
     pub fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
     }
 
     pub fn recv(&mut self) -> String {

@@ -33,9 +33,11 @@ impl Link {
         (link, worker)
     }
 
+    /// Sends one message, newline included, in one write: a line split
+    /// over two writes would wait for the worker's delayed ACK.
     fn send(&mut self, msg: &GatewayMsg) {
-        writeln!(self.writer, "{}", msg.to_json()).unwrap();
-        self.writer.flush().unwrap();
+        let line = format!("{}\n", msg.to_json());
+        self.writer.write_all(line.as_bytes()).unwrap();
     }
 
     /// The next message other than a heartbeat or a progress tick.
@@ -114,5 +116,52 @@ fn drained_worker_exits_without_waiting_out_a_heartbeat() {
     assert!(
         took < Duration::from_secs(5),
         "worker took {took:?} to exit after drain"
+    );
+}
+
+/// Regression: the worker wrote every line in two sends with Nagle's
+/// algorithm on, so the `result` of a job and the `pull` behind it each
+/// waited for the gateway's delayed ACK, 40 ms or more per job. These
+/// assignments name an unknown engine, so no job runs: the worker
+/// answers `result` and `pull` back to back.
+#[test]
+fn result_and_pull_leave_back_to_back() {
+    const ROUNDS: usize = 10;
+    let assignments: Vec<GatewayMsg> = (0..ROUNDS)
+        .map(|round| {
+            let GatewayMsg::Assign { mut spec, input } = assign(&format!("u{round}")) else {
+                unreachable!("assign builds an assignment");
+            };
+            spec.engines = Some("no-such-engine".to_string());
+            GatewayMsg::Assign { spec, input }
+        })
+        .collect();
+    let (mut link, worker) = Link::open(2000);
+    assert!(matches!(link.recv(), WorkerMsg::Pull));
+
+    let mut replies = Vec::new();
+    let t0 = Instant::now();
+    for msg in &assignments {
+        link.send(msg);
+        replies.push(link.recv());
+        replies.push(link.recv());
+    }
+    let took = t0.elapsed();
+    link.send(&GatewayMsg::Drain);
+    worker.join().unwrap().unwrap();
+
+    for (round, pair) in replies.chunks(2).enumerate() {
+        match &pair[0] {
+            WorkerMsg::Result {
+                id,
+                result: WorkerResult::Failed { .. },
+            } => assert_eq!(id, &format!("u{round}")),
+            other => panic!("round {round}: expected a failed result, got {other:?}"),
+        }
+        assert!(matches!(pair[1], WorkerMsg::Pull), "round {round}");
+    }
+    assert!(
+        took < Duration::from_millis(200),
+        "{ROUNDS} result+pull exchanges took {took:?}"
     );
 }

@@ -76,8 +76,8 @@ pub struct GdoConfig {
     pub deadline: Option<Duration>,
     /// Ceiling on abstract work units (BPFS sites surveyed plus validity
     /// proofs issued) before the run unwinds like a passed deadline
-    /// (`None` = unlimited). A deterministic alternative to [`deadline`]
-    /// (Self::deadline) for tests and reproducible runs.
+    /// (`None` = unlimited). A deterministic alternative to
+    /// [`deadline`](Self::deadline) for tests and reproducible runs.
     pub work_limit: Option<u64>,
     /// Checkpointed verify-with-rollback safety net (default
     /// [`VerifyPolicy::Off`]): re-proves equivalence against the last

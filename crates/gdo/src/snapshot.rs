@@ -883,8 +883,8 @@ impl CheckpointSpec {
     }
 }
 
-/// The complete resumable state of a whole-netlist [`Pipeline`]
-/// (crate::Pipeline) run at an engine-iteration boundary.
+/// The complete resumable state of a whole-netlist
+/// [`Pipeline`](crate::Pipeline) run at an engine-iteration boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSnapshot {
     /// The request's engine list (cross-checked on resume).

@@ -86,8 +86,9 @@ fn kind_tag(kind: GateKind) -> u64 {
 
 impl Netlist {
     /// A 64-bit digest of the netlist's structure, invariant under
-    /// signal renaming and id/insertion-order permutation (see the
-    /// [module docs](self) for the construction and its guarantees).
+    /// signal renaming and id/insertion-order permutation (the comment
+    /// heading `src/digest.rs` gives the construction and its
+    /// guarantees).
     ///
     /// # Errors
     ///

@@ -43,7 +43,7 @@ use telemetry::{json_escaped, RunReport};
 /// Where a job's circuit comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobSource {
-    /// A named entry of the workload suite ([`workloads::lookup_circuit`]).
+    /// A named entry of the workload suite (`workloads::lookup_circuit`).
     Suite(String),
     /// A `.bench` / `.blif` netlist file readable by the serving process.
     File(PathBuf),

@@ -93,7 +93,7 @@ pub enum WorkerMsg {
         /// Worker's self-chosen display name.
         name: String,
         /// Digest of the worker's cell library
-        /// ([`library::Library::digest`] hex) — must match the
+        /// (`library::Library::digest_hex`) — must match the
         /// gateway's.
         lib_digest: String,
         /// The worker's [`PROTOCOL_VERSION`].

@@ -18,7 +18,7 @@
 //! errors.
 
 use proto::{parse_verify, submit_to_json, JobSource, Priority, SubmitRequest};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
@@ -176,9 +176,16 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 fn run(opts: &Options) -> Result<ExitCode, String> {
     let addr = opts.addr.as_deref().expect("checked in parse_args");
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone connection: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
+    // Every request line goes into one buffer and out with one flush: a
+    // line split over two sends would wait for the gateway's delayed ACK.
+    let mut writer = BufWriter::new(
+        stream
+            .try_clone()
+            .map_err(|e| format!("cannot clone connection: {e}"))?,
+    );
     let reader = BufReader::new(stream);
 
     for source in &opts.jobs {

@@ -22,13 +22,16 @@
 //! The `spec` object is exactly the wire-format submit request
 //! ([`proto::submit_to_json`]), reparsed on replay by the same parser
 //! the gateway uses for live connections — the journal cannot
-//! drift from the protocol. A torn final line (the crash happened
-//! mid-append) is skipped; every complete line before it replays.
+//! drift from the protocol. A record and its newline are written in one
+//! write. A torn final line (the crash happened mid-append) is skipped;
+//! every complete line before it replays, and reopening the journal
+//! ends the torn line first, so the next record starts a line of its
+//! own instead of fusing with it.
 
 use proto::json::{self, Json};
 use proto::SubmitRequest;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use telemetry::json_escaped;
@@ -43,36 +46,44 @@ pub struct Wal {
 
 impl Wal {
     /// Opens (creating as needed) the journal in `dir`, appending to any
-    /// records a previous gateway process left behind.
+    /// records a previous gateway process left behind. A torn last line
+    /// gets its newline here, before any new record.
     ///
     /// # Errors
     ///
-    /// IO errors creating the directory or opening the file.
+    /// IO errors creating the directory or opening, reading or ending
+    /// the file.
     pub fn open(dir: &Path) -> std::io::Result<Wal> {
         std::fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(dir.join(WAL_FILE))?;
+        if torn_tail(&mut file)? {
+            file.write_all(b"\n")?;
+        }
         Ok(Wal {
             file: Mutex::new(file),
         })
     }
 
     /// Appends one record line and flushes it to the OS — a SIGKILL
-    /// after this call cannot lose the record.
-    fn append(&self, line: &str) {
+    /// after this call cannot lose the record. The record and its
+    /// newline go out in one write, so no kill can fall between them.
+    fn append(&self, mut line: String) {
+        line.push('\n');
         let mut f = self
             .file
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = writeln!(f, "{line}");
+        let _ = f.write_all(line.as_bytes());
         let _ = f.flush();
     }
 
     /// Records an accepted job (call before emitting `accepted`).
     pub fn append_job(&self, id: &str, spec_json: &str) {
-        self.append(&format!(
+        self.append(format!(
             "{{\"wal\":\"job\",\"id\":{},\"spec\":{spec_json}}}",
             json_escaped(id)
         ));
@@ -81,12 +92,25 @@ impl Wal {
     /// Records a job's terminal outcome (call before emitting the
     /// terminal event).
     pub fn append_terminal(&self, id: &str, outcome: &str) {
-        self.append(&format!(
+        self.append(format!(
             "{{\"wal\":\"terminal\",\"id\":{},\"outcome\":{}}}",
             json_escaped(id),
             json_escaped(outcome)
         ));
     }
+}
+
+/// Whether the journal's last byte is something other than a newline:
+/// a crash tore the last append.
+fn torn_tail(file: &mut File) -> std::io::Result<bool> {
+    let len = file.metadata()?.len();
+    if len == 0 {
+        return Ok(false);
+    }
+    file.seek(SeekFrom::Start(len - 1))?;
+    let mut last = [0u8; 1];
+    file.read_exact(&mut last)?;
+    Ok(last[0] != b'\n')
 }
 
 /// One unfinished job recovered from the journal.
@@ -253,6 +277,32 @@ mod tests {
         assert_eq!(replay.unfinished[0].id, "job-7");
         assert_eq!(replay.skipped_lines, 1);
         assert_eq!(replay.max_numeric_id, 7);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression: a record torn before its newline fused with the
+    /// first record appended after the restart, and replay skipped the
+    /// fused line whole, so a job that finished after recovery lost its
+    /// terminal record and ran again on the next restart.
+    #[test]
+    fn record_after_a_torn_tail_starts_its_own_line() {
+        let dir = tmp_dir("torn_reopen");
+        let wal = Wal::open(&dir).unwrap();
+        wal.append_job("job-7", &submit_to_json(&spec("9sym")));
+        drop(wal);
+        let path = dir.join(WAL_FILE);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"wal\":\"terminal\",\"id\":\"job-");
+        std::fs::write(&path, text).unwrap();
+
+        let wal = Wal::open(&dir).unwrap();
+        wal.append_terminal("job-7", "done");
+        drop(wal);
+
+        let replay = replay(&dir).unwrap();
+        assert_eq!(replay.finished, vec![("job-7".to_string(), "done".into())]);
+        assert!(replay.unfinished.is_empty());
+        assert_eq!(replay.skipped_lines, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,7 +24,8 @@ pub struct TimingPath {
 ///
 /// # Errors
 ///
-/// [`NetlistError::CycleDetected`] if `nl` is not a DAG.
+/// [`NetlistError::CycleDetected`](netlist::NetlistError::CycleDetected)
+/// if `nl` is not a DAG.
 ///
 /// # Example
 ///
