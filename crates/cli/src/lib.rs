@@ -380,8 +380,9 @@ impl Options {
 
 /// The `--help` text.
 #[must_use]
-pub fn usage() -> &'static str {
-    "gdo-opt — delay optimization of mapped netlists by logic clause analysis\n\
+pub fn usage() -> String {
+    format!(
+        "gdo-opt — delay optimization of mapped netlists by logic clause analysis\n\
      \n\
      usage: gdo-opt [OPTIONS] <INPUT.bench|INPUT.blif>\n\
      \n\
@@ -392,7 +393,7 @@ pub fn usage() -> &'static str {
      --no-os3                 disable inserted-gate (OS3/IS3) substitutions\n\
      --no-xor-direct          skip direct XOR/XNOR triple enumeration\n\
      --no-area-phase          skip the area-recovery phase\n\
-     --vectors N              BPFS vectors per round (default 512)\n\
+     --vectors N              BPFS vectors per round (default {vectors})\n\
      --seed N                 BPFS seed (default 1995)\n\
      --threads N              BPFS worker threads (default 0 = all cores)\n\
      --prover sat|bdd|miter   validity prover (default sat)\n\
@@ -427,7 +428,9 @@ pub fn usage() -> &'static str {
      --trace-out FILE         stream telemetry events as NDJSON to FILE\n\
      --report-json FILE       write the aggregated telemetry report as JSON\n\
      -v, --verbose            pretty-print telemetry events to stderr\n\
-     -q, --quiet              only errors"
+     -q, --quiet              only errors",
+        vectors = GdoConfig::default().vectors
+    )
 }
 
 /// Reads a netlist in either format.
@@ -804,6 +807,17 @@ mod tests {
 
     fn opts(args: &[&str]) -> Result<Option<Options>, CliError> {
         Options::parse(&args.iter().map(|s| (*s).to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn usage_names_the_default_vector_count() {
+        let want = format!("(default {})", GdoConfig::default().vectors);
+        let text = usage();
+        let line = text
+            .lines()
+            .find(|l| l.contains("--vectors"))
+            .expect("usage documents --vectors");
+        assert!(line.contains(&want), "{line}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!       --no-map             input is already mapped; skip mapping
 //!       --no-os3             disable OS3/IS3 (inserted-gate) substitutions
 //!       --no-area-phase      skip the area optimization phase
-//!       --vectors N          BPFS random vectors per round (default 512)
+//!       --vectors N          BPFS random vectors per round (default 2048)
 //!       --seed N             BPFS seed (default 1995)
 //!       --prover sat|bdd|miter   validity prover (default sat)
 //!       --time-budget-ms N   wall-clock budget; best-so-far result on expiry

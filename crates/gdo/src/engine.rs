@@ -32,7 +32,7 @@ pub enum EngineId {
     /// phases).
     Gdo,
     /// Simulation-guided k-resubstitution (k ≤ 4): BPFS signatures
-    /// propose divisor covers, the SAT miter validates them.
+    /// propose divisor covers, [`netlists_equivalent`] validates them.
     Resub,
 }
 

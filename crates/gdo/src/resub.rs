@@ -9,10 +9,10 @@
 //!
 //! The funnel mirrors GDO's invalidate-cheaply / prove-exactly split:
 //!
-//! 1. **Signatures.** One round of bit-parallel random simulation gives
-//!    every signal a signature; the target's observability mask (its
-//!    care set under the sampled vectors) splits the signature into an
-//!    on-set and an off-set.
+//! 1. **Signatures.** One round of bit-parallel random simulation over a
+//!    128-vector prefix of the round's vectors gives every signal a
+//!    signature; the target's observability mask (its care set under
+//!    those vectors) splits the signature into an on-set and an off-set.
 //! 2. **Propose.** Targets are ranked by signature skew (balanced
 //!    signatures are wide arithmetic functions no small cover can
 //!    express) and by the literal count of their exclusive dead cone.
@@ -25,8 +25,9 @@
 //! 3. **Prove.** A winning cover is realized on the netlist in
 //!    NAND-native form (`OR(legs)` becomes one wide NAND of the leg
 //!    complements) and the result is validated against the pre-edit
-//!    netlist with the SAT miter (exhaustive simulation on tiny
-//!    interfaces). Signatures are necessary, never sufficient.
+//!    netlist with [`netlists_equivalent`]: exhaustive simulation at 12
+//!    inputs or fewer, otherwise the representative-based equivalence
+//!    sweep. Signatures are necessary, never sufficient.
 //! 4. **Accept.** The edit is kept only if it strictly decreases the
 //!    literal count and, after an incremental
 //!    [`timing::TimingGraph::update`], leaves the worst slack no
@@ -36,7 +37,7 @@
 //! One accepted resubstitution ends the round: signatures and
 //! observability masks are recomputed from fresh vectors before the
 //! next proposal, so stale masks can never license an unsound edit
-//! (unsound *covers* are caught by the miter regardless).
+//! (unsound *covers* are caught by the equivalence check regardless).
 
 use std::cmp::Ordering;
 
@@ -70,11 +71,12 @@ const MIN_DEAD_LITERALS: usize = 2;
 /// keeps the winners inside the budget no matter how input ordering
 /// shuffles the tie-breaks.
 const SITES_PER_ROUND_FACTOR: usize = 8;
-/// Signature words (64 vectors each) used to *propose* covers. Exact
-/// agreement over every sampled vector almost never happens for
-/// wide-support targets, so proposals match on this prefix only — the
-/// SAT miter, not the signature, owns soundness, and a 128-bit prefix
-/// keeps the false-proposal rate low enough that proofs stay cheap.
+/// Signature words (64 vectors each) used to *propose* covers: each
+/// round simulates only this prefix of its vectors. Exact agreement over
+/// every sampled vector almost never happens for wide-support targets,
+/// so proposals match on this prefix only — the equivalence check, not
+/// the signature, owns soundness, and a 128-bit prefix keeps the
+/// false-proposal rate low enough that proofs stay cheap.
 const RESUB_SIG_WORDS: usize = 2;
 
 /// The simulation-guided k-resubstitution engine. Stateless; all run
@@ -131,10 +133,14 @@ enum TargetOutcome {
 fn run_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<RoundOutcome, GdoError> {
     // The snapshot doubles as the simulation subject (so signature
     // borrows never alias the netlist under edit) and as the rollback /
-    // miter reference.
+    // equivalence-check reference.
     let snapshot = ctx.nl.clone();
     *ctx.seed = ctx.seed.wrapping_add(1);
-    let vectors = VectorSet::random(snapshot.inputs().len(), ctx.cfg.vectors, *ctx.seed);
+    // Only the signature prefix is ever read, and word `w` of every row
+    // depends only on word `w` of the inputs: simulating the prefix of
+    // the round's vectors gives exactly the bits a full-width run would.
+    let vectors = VectorSet::random(snapshot.inputs().len(), ctx.cfg.vectors, *ctx.seed)
+        .prefix(RESUB_SIG_WORDS);
     let sim = simulate(&snapshot, &vectors)?;
     let mut obs = ObservabilityEngine::new(&snapshot, &sim)?;
     let support = CandidateContext::build(&snapshot)?;
@@ -148,7 +154,7 @@ fn run_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<RoundOutcome, GdoError
     // rest. Both halves are ranked by the literal count of the target's
     // exclusive dead cone — the literals a successful resubstitution
     // would free.
-    let mw = sim.n_words().min(RESUB_SIG_WORDS);
+    let nw = sim.n_words();
     let mut skewed: Vec<(usize, SignalId)> = Vec::new();
     let mut balanced: Vec<(usize, SignalId)> = Vec::new();
     for g in snapshot.gates().filter(|&g| snapshot.fanout_count(g) > 0) {
@@ -158,8 +164,8 @@ fn run_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<RoundOutcome, GdoError
         }
         let care = obs.observability(g);
         let tval = sim.value(g);
-        let onb: u32 = (0..mw).map(|w| (tval[w] & care[w]).count_ones()).sum();
-        let offb: u32 = (0..mw).map(|w| (!tval[w] & care[w]).count_ones()).sum();
+        let onb: u32 = (0..nw).map(|w| (tval[w] & care[w]).count_ones()).sum();
+        let offb: u32 = (0..nw).map(|w| (!tval[w] & care[w]).count_ones()).sum();
         if onb == 0 || offb == 0 {
             // Unobservable or constant-under-care: GDO's
             // redundancy-removal territory, not resubstitution's.
@@ -208,22 +214,13 @@ fn try_target(
 ) -> Result<TargetOutcome, GdoError> {
     let nw = sim.n_words();
     let care = obs.observability(target).to_vec();
-    if care.iter().all(|&w| w == 0) {
-        // Unobservable under the sampled vectors: redundancy-removal
-        // territory, not resubstitution.
-        return Ok(TargetOutcome::NoChange);
-    }
     let tval = sim.value(target);
     let on: Vec<u64> = (0..nw).map(|w| tval[w] & care[w]).collect();
     let off: Vec<u64> = (0..nw).map(|w| !tval[w] & care[w]).collect();
     if on.iter().all(|&w| w == 0) || off.iter().all(|&w| w == 0) {
-        // Constant under care: a C1 constant substitution, GDO's job.
-        return Ok(TargetOutcome::NoChange);
-    }
-    // Covers are matched against this signature prefix only.
-    let mw = nw.min(RESUB_SIG_WORDS);
-    if on[..mw].iter().all(|&w| w == 0) || off[..mw].iter().all(|&w| w == 0) {
-        // Constant on the prefix: too little evidence to propose from.
+        // Unobservable or constant under care: redundancy removal or a
+        // C1 constant substitution, GDO's job — or too little evidence
+        // on the signature to propose from.
         return Ok(TargetOutcome::NoChange);
     }
 
@@ -247,12 +244,12 @@ fn try_target(
         .filter(|(d, _)| !fanins.contains(d))
         .map(|(_, v)| *v)
         .collect();
-    if expressible_with_two(&ext_dvals, tval, &care, mw) {
+    if expressible_with_two(&ext_dvals, tval, &care, nw) {
         return Ok(TargetOutcome::NoChange);
     }
 
-    let legs_or = build_legs(&dvals, &on, &off, mw);
-    let legs_and = build_legs(&dvals, &off, &on, mw);
+    let legs_or = build_legs(&dvals, &on, &off, nw);
+    let legs_and = build_legs(&dvals, &off, &on, nw);
     // At most one direct-fanin divisor per cover: with both fanins in
     // play the greedy maximum is always the De Morgan rebuild of the
     // gate itself, which frees nothing and is < 3 divisors anyway.
@@ -261,8 +258,8 @@ fn try_target(
         .enumerate()
         .filter_map(|(i, d)| fanins.contains(d).then_some(i))
         .collect();
-    let cover_or = greedy_cover(&legs_or, &on, mw, &fanin_divs).map(|legs| mk_cover(legs, false));
-    let cover_and = greedy_cover(&legs_and, &off, mw, &fanin_divs).map(|legs| mk_cover(legs, true));
+    let cover_or = greedy_cover(&legs_or, &on, nw, &fanin_divs).map(|legs| mk_cover(legs, false));
+    let cover_and = greedy_cover(&legs_and, &off, nw, &fanin_divs).map(|legs| mk_cover(legs, true));
     let cover = match (cover_or, cover_and) {
         (Some(a), Some(b)) => Some(if b.cost < a.cost { b } else { a }),
         (a, b) => a.or(b),

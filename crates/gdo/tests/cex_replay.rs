@@ -5,13 +5,16 @@
 //! witness replays through the simulator as a real counterexample, and
 //! proving through a pool agrees with proving without one.
 //!
-//! The output pin: optimizing three fixed circuits reproduces the proof
+//! The output pins: optimizing three fixed circuits reproduces the proof
 //! counts and the exact mapped netlist that the optimizer produced before
-//! the pool existed.
+//! the pool existed, and the `gdo,resub` pipeline reproduces the resub
+//! rewrites and netlists it produced while it still simulated all 2,048
+//! vectors of each round.
 
 use gdo::{
     and_or_triple_requests, const_candidates, prove_rewrite, run_c2, run_c3, sub2_candidates,
-    sub3_candidates, xor_triple_requests, CexPool, GdoConfig, ProverKind, Rewrite, Site,
+    sub3_candidates, xor_triple_requests, Budget, CexPool, EngineId, GdoConfig, OptimizeRequest,
+    Pipeline, ProverKind, Rewrite, Site,
 };
 use library::{standard_library, Library, MapGoal, Mapper};
 use netlist::{Branch, GateKind, Netlist, SignalId};
@@ -281,6 +284,44 @@ fn outputs_match_the_pre_pool_optimizer() {
         assert_eq!(
             got, want,
             "{name}: (proofs, proofs_valid, total_mods, BLIF digest)"
+        );
+    }
+}
+
+/// Maps `nl`, runs the `gdo,resub` pipeline with the default
+/// configuration and returns `(resub_mods, proofs, proofs_valid,
+/// total_mods, digest of the mapped BLIF)`.
+fn resub_pin(lib: &Library, nl: &Netlist) -> (usize, usize, usize, usize, u64) {
+    let mut mapped = Mapper::new(lib).goal(MapGoal::Area).map(nl).expect("maps");
+    let cfg = GdoConfig::builder().threads(1).build().expect("valid");
+    let budget = Budget::new(cfg.deadline, cfg.work_limit);
+    let req = OptimizeRequest::new(cfg).engines(vec![EngineId::Gdo, EngineId::Resub]);
+    let stats = Pipeline::new(lib)
+        .run(&req, &mut mapped, &budget)
+        .expect("optimizes");
+    let blif = library::write_mapped_blif(lib, &mapped).expect("writes");
+    (
+        stats.resub_mods,
+        stats.proofs,
+        stats.proofs_valid,
+        stats.total_mods(),
+        fnv1a(&blif),
+    )
+}
+
+#[test]
+fn resub_outputs_match_the_full_width_engine() {
+    let lib = standard_library();
+    let suite = |name: &str| workloads::lookup_circuit(name).expect("exists").build();
+    for (name, want) in [
+        ("C432", (4, 181, 165, 13, 0x91dd_8fe1_5dda_5e47)),
+        ("C880", (5, 223, 221, 40, 0x68d7_9c9c_69b4_14c0)),
+    ] {
+        let got = resub_pin(&lib, &suite(name));
+        assert!(got.0 >= 1, "{name}: resub landed no rewrite");
+        assert_eq!(
+            got, want,
+            "{name}: (resub_mods, proofs, proofs_valid, total_mods, BLIF digest)"
         );
     }
 }

@@ -199,6 +199,59 @@ impl GateKind {
         }
     }
 
+    /// Evaluates the gate bit-parallel over whole word rows: word `w` of
+    /// `out` is [`eval_words`](Self::eval_words) of word `w` of every
+    /// input row. Only the first `out.len()` words of each input row are
+    /// read.
+    ///
+    /// This is the gate step of every bit-parallel simulator: one call
+    /// per gate instead of one per word. Variadic kinds fold across the
+    /// rows, so parsed gates wider than any library cell work too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ins.len()` violates [`GateKind::arity`], if an input
+    /// row is shorter than `out`, or on [`GateKind::Input`].
+    ///
+    /// ```
+    /// use netlist::GateKind;
+    ///
+    /// let (a, b) = ([0b1100u64, 1], [0b1010u64, 1]);
+    /// let mut y = [0u64; 2];
+    /// GateKind::Nand.eval_row(&[&a, &b], &mut y);
+    /// assert_eq!(y, [!0b1000, !1]);
+    /// ```
+    pub fn eval_row(self, ins: &[&[u64]], out: &mut [u64]) {
+        assert!(
+            self.arity().accepts(ins.len()),
+            "{self} applied to {} inputs",
+            ins.len()
+        );
+        let n = out.len();
+        use GateKind::*;
+        match self {
+            Input => panic!("primary inputs have no defined function"),
+            Const0 => out.fill(0),
+            Const1 => out.fill(!0),
+            Buf => out.copy_from_slice(&ins[0][..n]),
+            Not => {
+                for (o, &a) in out.iter_mut().zip(&ins[0][..n]) {
+                    *o = !a;
+                }
+            }
+            And => fold_rows(ins, out, |a, b| a & b, 0),
+            Nand => fold_rows(ins, out, |a, b| a & b, !0),
+            Or => fold_rows(ins, out, |a, b| a | b, 0),
+            Nor => fold_rows(ins, out, |a, b| a | b, !0),
+            Xor => fold_rows(ins, out, |a, b| a ^ b, 0),
+            Xnor => fold_rows(ins, out, |a, b| a ^ b, !0),
+            Aoi21 => map3_rows(ins, out, |a, b, c| !((a & b) | c)),
+            Oai21 => map3_rows(ins, out, |a, b, c| !((a | b) & c)),
+            Aoi22 => map4_rows(ins, out, |a, b, c, d| !((a & b) | (c & d))),
+            Oai22 => map4_rows(ins, out, |a, b, c, d| !((a | b) & (c | d))),
+        }
+    }
+
     /// Short upper-case mnemonic as used in `.bench` files where one exists.
     #[must_use]
     pub fn mnemonic(self) -> &'static str {
@@ -220,6 +273,45 @@ impl GateKind {
             Aoi22 => "AOI22",
             Oai22 => "OAI22",
         }
+    }
+}
+
+/// `out = op(ins[0], ins[1], ...) ^ flip`, word by word: the first pass
+/// combines two rows, each further row is one more pass, and the last
+/// pass applies the output inversion.
+fn fold_rows(ins: &[&[u64]], out: &mut [u64], op: impl Fn(u64, u64) -> u64, flip: u64) {
+    let n = out.len();
+    let [a, b, rest @ ..] = ins else {
+        unreachable!("variadic kinds take two or more rows")
+    };
+    let last_flip = |k: usize| if k == rest.len() { flip } else { 0 };
+    let f = last_flip(0);
+    for ((o, &a), &b) in out.iter_mut().zip(&a[..n]).zip(&b[..n]) {
+        *o = op(a, b) ^ f;
+    }
+    for (k, row) in rest.iter().enumerate() {
+        let f = last_flip(k + 1);
+        for (o, &v) in out.iter_mut().zip(&row[..n]) {
+            *o = op(*o, v) ^ f;
+        }
+    }
+}
+
+/// `out = f(ins[0], ins[1], ins[2])`, word by word.
+fn map3_rows(ins: &[&[u64]], out: &mut [u64], f: impl Fn(u64, u64, u64) -> u64) {
+    let n = out.len();
+    let (a, b, c) = (&ins[0][..n], &ins[1][..n], &ins[2][..n]);
+    for (((o, &a), &b), &c) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = f(a, b, c);
+    }
+}
+
+/// `out = f(ins[0], ins[1], ins[2], ins[3])`, word by word.
+fn map4_rows(ins: &[&[u64]], out: &mut [u64], f: impl Fn(u64, u64, u64, u64) -> u64) {
+    let n = out.len();
+    let (a, b, c, d) = (&ins[0][..n], &ins[1][..n], &ins[2][..n], &ins[3][..n]);
+    for ((((o, &a), &b), &c), &d) in out.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+        *o = f(a, b, c, d);
     }
 }
 
@@ -253,6 +345,54 @@ mod tests {
                 assert_eq!(wide, if scalar { !0 } else { 0 }, "{kind} on {bools:?}");
             }
         }
+    }
+
+    /// `eval_row` is `eval_words` applied word by word, for every kind,
+    /// every legal arity up to six and rows of 1, 2, 4 and 33 words.
+    #[test]
+    fn eval_row_matches_eval_words_per_word() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for kind in GateKind::ALL {
+            if kind == GateKind::Input {
+                continue;
+            }
+            let arities = match kind.arity() {
+                Arity::Fixed(k) => k..=k,
+                Arity::AtLeast(k) => k..=6,
+            };
+            for n_ins in arities {
+                for width in [1usize, 2, 4, 33] {
+                    // One word longer than the output: the tail must be ignored.
+                    let rows: Vec<Vec<u64>> = (0..n_ins)
+                        .map(|_| (0..=width).map(|_| rng.gen()).collect())
+                        .collect();
+                    let ins: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+                    let mut out = vec![rng.gen::<u64>(); width];
+                    kind.eval_row(&ins, &mut out);
+                    for (w, &got) in out.iter().enumerate() {
+                        let words: Vec<u64> = rows.iter().map(|r| r[w]).collect();
+                        assert_eq!(
+                            got,
+                            kind.eval_words(&words),
+                            "{kind} over {n_ins} rows of {width} words, word {w}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "applied to")]
+    fn eval_row_rejects_bad_arity() {
+        GateKind::Aoi21.eval_row(&[&[0], &[0]], &mut [0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn eval_row_rejects_short_rows() {
+        GateKind::And.eval_row(&[&[0, 0], &[0]], &mut [0, 0]);
     }
 
     #[test]

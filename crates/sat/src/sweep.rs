@@ -37,7 +37,7 @@ use crate::encode::{encode_gate, encode_xor2};
 use crate::miter::check_interfaces;
 use crate::{EquivError, Lit, SatResult, Solver, Var};
 use netlist::{GateKind, Netlist, SignalId};
-use sim::VectorSet;
+use sim::{eval_gate_row, split_row, VectorSet};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -331,18 +331,14 @@ impl<'n> Sweep<'n> {
                 sigs[n * nw..(n + 1) * nw].copy_from_slice(vectors.input_words(i));
             }
         }
-        let mut words = Vec::new();
         for &n in &self.order {
             let kind = self.kind(n);
             if kind == GateKind::Input {
                 continue;
             }
             let (fanins, base) = self.fanins(n);
-            for w in 0..nw {
-                words.clear();
-                words.extend(fanins.iter().map(|f| sigs[(base + f.index()) * nw + w]));
-                sigs[n * nw + w] = kind.eval_words(&words);
-            }
+            let (row, rows) = split_row(&mut sigs, nw, n);
+            eval_gate_row(kind, fanins.iter().map(|f| rows.row(base + f.index())), row);
         }
         let phase: Vec<bool> = (0..self.repr.len())
             .map(|n| sigs[n * nw] & 1 == 1)

@@ -1,3 +1,4 @@
+use crate::row::{eval_gate_row, split_row};
 use crate::VectorSet;
 use netlist::{Branch, Fanout, GateKind, Netlist, NetlistError, SignalId};
 use std::sync::Arc;
@@ -47,34 +48,13 @@ impl SimResult {
         for (i, &pi) in nl.inputs().iter().enumerate() {
             self.values[pi.index() * n_words + w] = vectors.input_words(i)[w];
         }
-        let mut fanin_buf: Vec<u64> = Vec::new();
         for &s in &plan.topo {
             let kind = nl.kind(s);
             if kind != GateKind::Input {
-                self.values[s.index() * n_words + w] =
-                    eval_word(kind, nl.fanins(s), &self.values, n_words, w, &mut fanin_buf);
+                let (row, rows) = split_row(&mut self.values, n_words, s.index());
+                let fanin_words = nl.fanins(s).iter().map(|f| &rows.row(f.index())[w..=w]);
+                eval_gate_row(kind, fanin_words, &mut row[w..=w]);
             }
-        }
-    }
-}
-
-/// Word `w` of a non-input gate of `kind` over `fanins`, read from the
-/// word rows in `values`.
-fn eval_word(
-    kind: GateKind,
-    fanins: &[SignalId],
-    values: &[u64],
-    n_words: usize,
-    w: usize,
-    fanin_buf: &mut Vec<u64>,
-) -> u64 {
-    match kind {
-        GateKind::Const0 => 0,
-        GateKind::Const1 => !0,
-        _ => {
-            fanin_buf.clear();
-            fanin_buf.extend(fanins.iter().map(|f| values[f.index() * n_words + w]));
-            kind.eval_words(fanin_buf)
         }
     }
 }
@@ -103,17 +83,13 @@ pub fn simulate(nl: &Netlist, vectors: &VectorSet) -> Result<SimResult, NetlistE
         values[pi.index() * n_words..(pi.index() + 1) * n_words]
             .copy_from_slice(vectors.input_words(i));
     }
-    let mut fanin_buf: Vec<u64> = Vec::new();
     for &s in &order {
         let kind = nl.kind(s);
         if kind == GateKind::Input {
             continue;
         }
-        let fanins = nl.fanins(s);
-        for w in 0..n_words {
-            values[s.index() * n_words + w] =
-                eval_word(kind, fanins, &values, n_words, w, &mut fanin_buf);
-        }
+        let (row, rows) = split_row(&mut values, n_words, s.index());
+        eval_gate_row(kind, nl.fanins(s).iter().map(|f| rows.row(f.index())), row);
     }
     Ok(SimResult { n_words, values })
 }
@@ -208,6 +184,8 @@ pub struct ObservabilityEngine<'a> {
     full_walk: bool,
     /// Alternative values for cone members, stamped per query.
     alt: Vec<u64>,
+    /// The inverted row a branch query feeds its consuming gate.
+    flipped: Vec<u64>,
     stamp: Vec<u32>,
     current: u32,
     obs: Vec<u64>,
@@ -241,6 +219,7 @@ impl<'a> ObservabilityEngine<'a> {
             plan,
             full_walk: false,
             alt: vec![0; nl.capacity() * sim.n_words()],
+            flipped: vec![0; sim.n_words()],
             stamp: vec![0; nl.capacity()],
             current: 0,
             obs: vec![0; sim.n_words()],
@@ -307,21 +286,15 @@ impl<'a> ObservabilityEngine<'a> {
             .branch_source(branch)
             .expect("branch must reference a live connection");
         // Seed: re-evaluate the consuming gate with the pin inverted.
-        let kind = self.nl.kind(c);
-        self.stamp[c.index()] = stamp;
-        let mut fanin_buf: Vec<u64> = Vec::with_capacity(4);
-        for w in 0..nw {
-            fanin_buf.clear();
-            for (pin, &f) in self.nl.fanins(c).iter().enumerate() {
-                let mut v = self.sim.value(f)[w];
-                if pin == branch.pin as usize {
-                    v = !v;
-                }
-                fanin_buf.push(v);
-            }
-            self.alt[c.index() * nw + w] = kind.eval_words(&fanin_buf);
+        for (f, &v) in self.flipped.iter_mut().zip(self.sim.value(src)) {
+            *f = !v;
         }
-        let _ = src;
+        self.stamp[c.index()] = stamp;
+        let (sim, flipped, pin) = (self.sim, &self.flipped[..], branch.pin as usize);
+        let fanins = self.nl.fanins(c).iter().enumerate();
+        let fanin_rows = fanins.map(|(p, &f)| if p == pin { flipped } else { sim.value(f) });
+        let row = &mut self.alt[c.index() * nw..(c.index() + 1) * nw];
+        eval_gate_row(self.nl.kind(c), fanin_rows, row);
         self.propagate_and_compare(c, stamp)
     }
 
@@ -352,19 +325,18 @@ impl<'a> ObservabilityEngine<'a> {
         // topological order of the cone works; level order is one. The
         // legacy mode walks the global order instead, skipping non-cone
         // signals — identical results, O(netlist) per query.
-        let mut fanin_buf: Vec<u64> = Vec::with_capacity(4);
         let plan = Arc::clone(&self.plan);
         if self.full_walk {
             for &s in &plan.topo {
                 if self.stamp[s.index()] == stamp && s != seed {
-                    self.eval_into_alt(s, stamp, nw, &mut fanin_buf);
+                    self.eval_into_alt(s, stamp);
                 }
             }
         } else {
             in_cone.sort_unstable_by_key(|&s| plan.level[s.index()]);
             for &s in &in_cone {
                 if s != seed {
-                    self.eval_into_alt(s, stamp, nw, &mut fanin_buf);
+                    self.eval_into_alt(s, stamp);
                 }
             }
         }
@@ -384,20 +356,17 @@ impl<'a> ObservabilityEngine<'a> {
 
     /// Evaluates gate `s` against `alt` values of stamped fanins (and
     /// good values of everything else), storing the result in `alt`.
-    fn eval_into_alt(&mut self, s: SignalId, stamp: u32, nw: usize, fanin_buf: &mut Vec<u64>) {
-        let kind = self.nl.kind(s);
-        for w in 0..nw {
-            fanin_buf.clear();
-            for &f in self.nl.fanins(s) {
-                let v = if self.stamp[f.index()] == stamp {
-                    self.alt[f.index() * nw + w]
-                } else {
-                    self.sim.value(f)[w]
-                };
-                fanin_buf.push(v);
+    fn eval_into_alt(&mut self, s: SignalId, stamp: u32) {
+        let (row, alt) = split_row(&mut self.alt, self.sim.n_words(), s.index());
+        let (sim, marks) = (self.sim, &self.stamp);
+        let fanin_rows = self.nl.fanins(s).iter().map(|&f| {
+            if marks[f.index()] == stamp {
+                alt.row(f.index())
+            } else {
+                sim.value(f)
             }
-            self.alt[s.index() * nw + w] = kind.eval_words(fanin_buf);
-        }
+        });
+        eval_gate_row(self.nl.kind(s), fanin_rows, row);
     }
 }
 
@@ -441,6 +410,7 @@ mod tests {
         let vectors = VectorSet::exhaustive(3);
         let sim = simulate(&nl, &vectors).unwrap();
         let mut engine = ObservabilityEngine::new(&nl, &sim).unwrap();
+        let order = nl.topo_order().unwrap();
         for s in sigs {
             let obs = engine.observability(s)[0];
             for v in 0..8usize {
@@ -448,27 +418,43 @@ mod tests {
                 let base = nl.eval_outputs(&ins).unwrap();
                 // Brute-force flip: recompute with s forced to its
                 // complement by rebuilding values manually.
-                let flipped = eval_with_flip(&nl, &ins, s);
+                let flipped = flipped_outputs(&nl, &order, &ins, Flip::Stem(s));
                 let expect = base != flipped;
                 assert_eq!(obs >> v & 1 == 1, expect, "signal {s} vector {v}");
             }
         }
     }
 
-    /// Evaluates the netlist with signal `flip` forced to its complement.
-    fn eval_with_flip(nl: &Netlist, inputs: &[bool], flip: SignalId) -> Vec<bool> {
-        let order = nl.topo_order().unwrap();
+    /// A flipped value: a stem everywhere, or one gate pin only.
+    #[derive(Clone, Copy)]
+    enum Flip {
+        Stem(SignalId),
+        Pin(Branch),
+    }
+
+    /// The primary outputs of `nl` (levelized as `order`) under `inputs`
+    /// with `flip` applied.
+    fn flipped_outputs(nl: &Netlist, order: &[SignalId], inputs: &[bool], flip: Flip) -> Vec<bool> {
         let mut values = vec![false; nl.capacity()];
         for (i, &pi) in nl.inputs().iter().enumerate() {
             values[pi.index()] = inputs[i];
         }
-        for &s in &order {
+        for &s in order {
             let kind = nl.kind(s);
             if kind != GateKind::Input {
-                let ins: Vec<bool> = nl.fanins(s).iter().map(|f| values[f.index()]).collect();
+                let ins: Vec<bool> = nl
+                    .fanins(s)
+                    .iter()
+                    .enumerate()
+                    .map(|(pin, f)| {
+                        let hit =
+                            matches!(flip, Flip::Pin(b) if b.cell == s && b.pin as usize == pin);
+                        values[f.index()] ^ hit
+                    })
+                    .collect();
                 values[s.index()] = kind.eval(&ins);
             }
-            if s == flip {
+            if matches!(flip, Flip::Stem(x) if x == s) {
                 values[s.index()] = !values[s.index()];
             }
         }
@@ -476,6 +462,115 @@ mod tests {
             .iter()
             .map(|po| values[po.driver().index()])
             .collect()
+    }
+
+    /// A seeded random netlist over every gate kind: AOI/OAI cells, 5-
+    /// and 6-input AND/OR/XOR gates, constants, reconvergent fanout and
+    /// four outputs.
+    fn mixed_kinds(seed: u64) -> Netlist {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use GateKind::*;
+        const SHAPES: [(GateKind, usize); 16] = [
+            (And, 5),
+            (Aoi21, 3),
+            (Or, 6),
+            (Oai22, 4),
+            (Xor, 5),
+            (Nand, 2),
+            (Aoi22, 4),
+            (Xnor, 6),
+            (Oai21, 3),
+            (Nor, 3),
+            (And, 6),
+            (Not, 1),
+            (Or, 5),
+            (Buf, 1),
+            (Xor, 6),
+            (Nand, 4),
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut nl = Netlist::new("mixed");
+        let mut pool: Vec<SignalId> = (0..7).map(|i| nl.add_input(format!("x{i}"))).collect();
+        pool.push(nl.const1());
+        for i in 0..40 {
+            let (kind, arity) = SHAPES[i % SHAPES.len()];
+            // Mostly recent signals, so the netlist gets deep and its
+            // fanout reconverges.
+            let fanins: Vec<SignalId> = (0..arity)
+                .map(|_| {
+                    let lo = if rng.gen_range(0..4) == 0 {
+                        0
+                    } else {
+                        pool.len().saturating_sub(10)
+                    };
+                    pool[rng.gen_range(lo..pool.len())]
+                })
+                .collect();
+            pool.push(nl.add_gate(kind, &fanins).unwrap());
+        }
+        for (k, &s) in pool.iter().rev().step_by(5).take(4).enumerate() {
+            nl.add_output(format!("y{k}"), s);
+        }
+        nl
+    }
+
+    #[test]
+    fn mixed_kinds_simulate_and_observe_like_the_definition() {
+        for seed in 0..2 {
+            let nl = mixed_kinds(seed);
+            assert!(
+                nl.gates().any(|g| nl.fanout_count(g) > 1),
+                "seed {seed}: no reconvergent fanout"
+            );
+            let order = nl.topo_order().unwrap();
+            let mut flips: Vec<Flip> = nl.signals().map(Flip::Stem).collect();
+            for g in nl.gates() {
+                for pin in 0..nl.fanins(g).len() as u32 {
+                    flips.push(Flip::Pin(Branch { cell: g, pin }));
+                }
+            }
+            // Brute force per vector: good values, and whether each flip
+            // changes some output.
+            let n = nl.inputs().len();
+            let all = VectorSet::random(n, 3 * 64, seed + 10);
+            let expected: Vec<(Vec<bool>, Vec<bool>)> = (0..all.n_vectors())
+                .map(|v| {
+                    let ins: Vec<bool> = (0..n).map(|i| all.bit(i, v)).collect();
+                    let base = nl.eval_outputs(&ins).unwrap();
+                    let observed = flips
+                        .iter()
+                        .map(|&f| flipped_outputs(&nl, &order, &ins, f) != base)
+                        .collect();
+                    (nl.eval(&ins).unwrap(), observed)
+                })
+                .collect();
+            for n_words in 1..=3 {
+                let vectors = all.prefix(n_words);
+                let sim = simulate(&nl, &vectors).unwrap();
+                let mut engine = ObservabilityEngine::new(&nl, &sim).unwrap();
+                for (k, &flip) in flips.iter().enumerate() {
+                    let row = match flip {
+                        Flip::Stem(s) => engine.observability(s),
+                        Flip::Pin(b) => engine.observability_branch(b),
+                    };
+                    for (v, (good, observed)) in expected.iter().enumerate().take(64 * n_words) {
+                        let bit = row[v / 64] >> (v % 64) & 1 == 1;
+                        assert_eq!(
+                            bit, observed[k],
+                            "seed {seed}, {n_words} words, flip {k}, vector {v}"
+                        );
+                        if let Flip::Stem(s) = flip {
+                            assert_eq!(
+                                sim.bit(s, v),
+                                good[s.index()],
+                                "seed {seed} {s} vector {v}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

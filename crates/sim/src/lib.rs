@@ -32,7 +32,9 @@
 //! ```
 
 mod engine;
+mod row;
 mod vectors;
 
 pub use engine::{simulate, ObsPlan, ObsStats, ObservabilityEngine, SimResult};
+pub use row::{eval_gate_row, split_row, OtherRows};
 pub use vectors::VectorSet;

@@ -110,6 +110,37 @@ impl VectorSet {
         }
     }
 
+    /// The first `n_words` words of every input's row: this set's first
+    /// `64 * n_words` vectors, unchanged. Word `w` of a simulated row
+    /// depends only on word `w` of the input rows, so simulating the
+    /// prefix gives exactly the prefix of every row of a full simulation.
+    /// A set of at most `n_words` words is returned whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_words` is 0.
+    ///
+    /// ```
+    /// let full = sim::VectorSet::random(3, 2048, 5);
+    /// let head = full.prefix(2);
+    /// assert_eq!(head.n_vectors(), 128);
+    /// assert_eq!(head.input_words(1), &full.input_words(1)[..2]);
+    /// ```
+    #[must_use]
+    pub fn prefix(&self, n_words: usize) -> Self {
+        assert!(n_words > 0, "a vector set holds at least one word");
+        let n_words = n_words.min(self.n_words);
+        let words = (0..self.n_inputs)
+            .flat_map(|i| &self.input_words(i)[..n_words])
+            .copied()
+            .collect();
+        VectorSet {
+            n_inputs: self.n_inputs,
+            n_words,
+            words,
+        }
+    }
+
     /// Overwrites vector `v` with `assignment` (one value per input).
     ///
     /// # Panics
@@ -221,6 +252,20 @@ mod tests {
             assert!(!v.bit(1, lane));
             assert!(v.bit(2, lane));
         }
+    }
+
+    #[test]
+    fn prefix_keeps_the_leading_vectors() {
+        let full = VectorSet::random(4, 512, 11);
+        let head = full.prefix(3);
+        assert_eq!((head.n_inputs(), head.n_words()), (4, 3));
+        for i in 0..4 {
+            for v in 0..head.n_vectors() {
+                assert_eq!(head.bit(i, v), full.bit(i, v), "input {i} vector {v}");
+            }
+        }
+        // Asking for more words than the set has returns it whole.
+        assert_eq!(full.prefix(64), full);
     }
 
     #[test]
