@@ -59,8 +59,10 @@ pub struct GdoRun {
 /// collector around the run, snapshots the aggregated
 /// [`telemetry::RunReport`], merges the optimizer summary into it, and
 /// cross-checks the candidate funnel against the optimizer's own tallies
-/// before returning. With `verify`, the optimized netlist is SAT-checked
-/// against the input — a soundness tripwire.
+/// before returning. With `verify`, the optimized netlist is checked
+/// against the input with [`gdo::netlists_equivalent`] — a soundness
+/// tripwire, run after the collector stops so the check's own `sweep.*`
+/// counters stay out of the report.
 ///
 /// The telemetry collector is process-global, so concurrent instrumented
 /// runs in one process would tally into each other's reports; the bench
@@ -84,13 +86,13 @@ pub fn run_gdo_reported(
     telemetry::reset();
     telemetry::enable();
     let stats = optimize(lib, cfg.clone(), mapped).expect("optimizer succeeds on mapped netlists");
+    telemetry::disable();
     if let Some(reference) = reference {
         assert!(
-            sat::check_equiv(&reference, mapped).expect("same interface"),
+            gdo::netlists_equivalent(&reference, mapped).expect("acyclic netlists"),
             "SOUNDNESS VIOLATION: {name} is not equivalent after optimization"
         );
     }
-    telemetry::disable();
     let row = OptimizeReport::new(name, stats);
     let mut report = telemetry::snapshot();
     telemetry::reset();
@@ -427,7 +429,7 @@ mod tests {
             run.report.summary.get("proofs").copied(),
             Some(run.row.stats.proofs as f64)
         );
-        telemetry::validate_json(&run.report.to_json()).expect("report serializes validly");
+        telemetry::json::parse(&run.report.to_json()).expect("report serializes validly");
     }
 
     #[test]

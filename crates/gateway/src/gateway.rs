@@ -183,6 +183,9 @@ struct GatewayCounters {
     poisoned: AtomicU64,
     requeued: AtomicU64,
     recovered: AtomicU64,
+    worker_panics: AtomicU64,
+    /// Workers force-closed for missing heartbeats while holding jobs.
+    workers_reaped: AtomicU64,
     /// Work units granted against the ceiling (shed accounting).
     work_granted: AtomicU64,
 }
@@ -297,7 +300,6 @@ impl Gateway {
                 req.resume = Some(ckpt);
             }
             self.counters.recovered.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("gateway.recovered", 1);
             self.admit(req, &out, true);
         }
     }
@@ -349,7 +351,6 @@ impl Gateway {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             if shed {
                 self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("gateway.shed", 1);
             }
             emit(
                 out,
@@ -424,11 +425,9 @@ impl Gateway {
         // O(1) duplicate answer: a cached `done` of the same structure
         // and config replays without touching a worker.
         if let Some(hit) = self.cache.get(key) {
-            telemetry::counter_add("gateway.cache.hits", 1);
             match patch_job_id(&hit.report_json, &id) {
                 Ok(report_json) => {
                     self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter_add("gateway.admitted", 1);
                     if let Some(w) = &self.wal {
                         w.append_job(
                             &id,
@@ -466,7 +465,6 @@ impl Gateway {
             }
             return;
         }
-        telemetry::counter_add("gateway.cache.misses", 1);
 
         // Load shedding: refuse cheap now rather than time out later. A
         // blocking queue parks the submitter at its cap instead, so only
@@ -527,7 +525,6 @@ impl Gateway {
         match pushed {
             Ok(()) => {
                 self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("gateway.admitted", 1);
                 emit(
                     out,
                     &Event::Accepted {
@@ -653,7 +650,6 @@ impl Gateway {
             }
         }
         let drain_ms = t0.elapsed().as_millis() as u64;
-        telemetry::counter_add("gateway.drain_ms", drain_ms);
         emit(out, &Event::Drained { drain_ms });
         self.shutdown.store(true, Ordering::SeqCst);
     }
@@ -812,7 +808,6 @@ impl Gateway {
             send_line(&out, &GatewayMsg::Drain.to_json());
             return;
         };
-        telemetry::gauge_set("gateway.workers.alive", self.workers_alive() as f64);
 
         for line in reader.lines() {
             let Ok(line) = line else { break };
@@ -871,9 +866,7 @@ impl Gateway {
             else {
                 return;
             };
-            // Non-blocking priority-ordered pop (remove_if scans lanes
-            // highest-priority first).
-            let Some(pending) = self.queue.remove_if(|_| true) else {
+            let Some(pending) = self.queue.pop() else {
                 return;
             };
             while !pending.announced.load(Ordering::Acquire) {
@@ -1030,7 +1023,7 @@ impl Gateway {
                 );
             }
             WorkerResult::Panicked { error } => {
-                telemetry::counter_add("gateway.worker_panics", 1);
+                self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
                 let attempts = pending.attempts + 1;
                 if attempts > self.retry_max {
                     self.finish(
@@ -1063,7 +1056,6 @@ impl Gateway {
     /// resuming from its checkpoint when one exists on disk.
     fn requeue(&self, mut pending: Pending) {
         self.counters.requeued.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter_add("gateway.requeued", 1);
         if pending.spec.resume.is_none() {
             if let Some(ckpt) = pending.spec.checkpoint.clone() {
                 if ckpt.exists() {
@@ -1122,7 +1114,6 @@ impl Gateway {
                 })
                 .collect()
         };
-        telemetry::gauge_set("gateway.workers.alive", self.workers_alive() as f64);
         for pending in orphans {
             self.requeue(pending);
         }
@@ -1150,7 +1141,7 @@ impl Gateway {
                     .collect()
             };
             for index in stale {
-                telemetry::counter_add("gateway.workers.reaped", 1);
+                self.counters.workers_reaped.fetch_add(1, Ordering::Relaxed);
                 self.worker_down(index);
             }
         }
@@ -1217,6 +1208,14 @@ impl Gateway {
             ("gateway.workers.alive", self.workers_alive() as u64),
             ("gateway.requeued", c.requeued.load(Ordering::Relaxed)),
             ("gateway.recovered", c.recovered.load(Ordering::Relaxed)),
+            (
+                "gateway.worker_panics",
+                c.worker_panics.load(Ordering::Relaxed),
+            ),
+            (
+                "gateway.workers.reaped",
+                c.workers_reaped.load(Ordering::Relaxed),
+            ),
             ("gateway.jobs.done", c.done.load(Ordering::Relaxed)),
             ("gateway.jobs.degraded", c.degraded.load(Ordering::Relaxed)),
             ("gateway.jobs.failed", c.failed.load(Ordering::Relaxed)),

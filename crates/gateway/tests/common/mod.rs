@@ -135,9 +135,27 @@ pub fn join(workers: Workers) {
 /// Runs `input` through the stack in batch mode, joins its workers, and
 /// returns the event lines.
 pub fn run_batch(cfg: GatewayConfig, n: usize, opts: &WorkerOptions, input: &str) -> Vec<String> {
+    run_batch_keeping_gateway(cfg, n, opts, input).0
+}
+
+/// [`run_batch`], also returning the drained gateway for its counters.
+pub fn run_batch_keeping_gateway(
+    cfg: GatewayConfig,
+    n: usize,
+    opts: &WorkerOptions,
+    input: &str,
+) -> (Vec<String>, Arc<Gateway>) {
     let (gw, workers) = launch(cfg, n, opts);
     let buf = SharedBuf::default();
     gw.run_batch(input.as_bytes(), &output_from(buf.clone()));
     join(workers);
-    buf.lines()
+    (buf.lines(), gw)
+}
+
+/// One of `gw`'s `status`/`/metrics` counters (0 when not listed).
+pub fn counter_of(gw: &Gateway, name: &str) -> u64 {
+    gw.counter_pairs()
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map_or(0, |&(_, v)| v)
 }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{count_kind, event_kind, Client};
+use common::{count_kind, counter_of, event_kind, Client};
 use gateway::{Gateway, GatewayConfig, ShedConfig, WorkerOptions};
 use proto::PROTOCOL_VERSION;
 use std::io::{BufRead, BufReader, Write};
@@ -69,13 +69,6 @@ fn report_bytes(line: &str) -> String {
     let start = line.find("\"report\":").expect("terminal carries a report") + "\"report\":".len();
     // The report object is the last field before the closing brace.
     line[start..line.len() - 1].to_string()
-}
-
-fn counter_of(gw: &Gateway, name: &str) -> u64 {
-    gw.counter_pairs()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0, |&(_, v)| v)
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -287,6 +280,55 @@ fn dead_worker_mid_job_requeues_to_a_survivor() {
     client.recv_until_drained();
     w.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A worker that stays connected but stops beating while it holds a job
+/// is reaped after three heartbeat intervals: its socket is closed, the
+/// job is requeued, and `gateway.workers.reaped` counts it.
+#[test]
+fn silent_worker_is_reaped_and_its_job_requeued() {
+    // Short enough to reap within a second, long enough that the
+    // survivor's own beats never miss three intervals on a loaded host.
+    let (gw, client_addr, worker_addr) = start(GatewayConfig {
+        heartbeat_ms: 200,
+        ..GatewayConfig::default()
+    });
+
+    // A hung worker, hand-rolled: registers, pulls once, takes its
+    // assignment and never writes again.
+    let hung = TcpStream::connect(worker_addr).unwrap();
+    let mut hung_reader = BufReader::new(hung.try_clone().unwrap());
+    let mut hello = proto::WorkerMsg::Hello {
+        name: "hung".to_string(),
+        lib_digest: library::standard_library().digest_hex(),
+        protocol: PROTOCOL_VERSION,
+    }
+    .to_json();
+    hello.push('\n');
+    (&hung).write_all(hello.as_bytes()).unwrap();
+    let mut line = String::new();
+    hung_reader.read_line(&mut line).unwrap(); // welcome
+    (&hung).write_all(b"{\"w\":\"pull\"}\n").unwrap();
+
+    let mut client = Client::connect(client_addr);
+    client.send("{\"op\":\"submit\",\"id\":\"j1\",\"circuit\":\"9sym\",\"verify\":\"off\"}");
+    line.clear();
+    hung_reader.read_line(&mut line).unwrap();
+    assert!(line.contains("assign"), "{line}");
+
+    // The reaper closes the silent link: the next read sees EOF.
+    line.clear();
+    assert_eq!(hung_reader.read_line(&mut line).unwrap(), 0, "{line}");
+    assert_eq!(counter_of(&gw, "gateway.workers.reaped"), 1);
+
+    let w = spawn_worker(worker_addr, "survivor", false);
+    let lines = client.recv_until_terminals(1);
+    assert_eq!(count_kind(&lines, "done"), 1, "{lines:?}");
+    assert_eq!(counter_of(&gw, "gateway.requeued"), 1);
+    client.send("{\"op\":\"drain\"}");
+    client.recv_until_drained();
+    w.join().unwrap();
+    drop(hung);
 }
 
 /// Fault-injected panics retry up to `retry_max`, then poison.

@@ -126,7 +126,7 @@ fn fifty_job_batch_with_backpressure_and_mid_batch_drain() {
         .iter()
         .filter(|l| matches!(event_kind(l).as_str(), "done" | "degraded"))
     {
-        telemetry::validate_json(line).unwrap();
+        telemetry::json::parse(line).unwrap();
         assert!(line.contains("\"schema\":\"gdo-telemetry/1\""), "{line}");
         assert!(line.contains("\"report\":"), "{line}");
     }

@@ -6,9 +6,10 @@
 
 mod common;
 
-use common::{event_kind as kind, served};
-use gateway::{GatewayConfig, WorkerOptions};
+use common::{counter_of, event_kind as kind, served};
+use gateway::{Gateway, GatewayConfig, WorkerOptions};
 use proto::{submit_to_json, JobSource, Priority, SubmitRequest};
+use std::sync::Arc;
 
 fn submit_panicking(id: &str, panic_attempts: u32) -> String {
     submit_to_json(&SubmitRequest {
@@ -31,13 +32,14 @@ fn submit_panicking(id: &str, panic_attempts: u32) -> String {
 }
 
 /// Runs `requests` in batch mode through `gdo-served`'s stack with one
-/// in-process worker that honors fault injection.
-fn run_batch(cfg: GatewayConfig, requests: &[String]) -> Vec<String> {
+/// in-process worker that honors fault injection; returns the event
+/// lines and the drained gateway.
+fn run_batch(cfg: GatewayConfig, requests: &[String]) -> (Vec<String>, Arc<Gateway>) {
     let opts = WorkerOptions {
         fault_inject: true,
         ..WorkerOptions::default()
     };
-    common::run_batch(cfg, 1, &opts, &requests.join("\n"))
+    common::run_batch_keeping_gateway(cfg, 1, &opts, &requests.join("\n"))
 }
 
 fn cfg(retry_max: u32) -> GatewayConfig {
@@ -53,7 +55,7 @@ fn panicking_job_is_retried_and_then_succeeds() {
     // Two injected panics, two retries allowed: attempts 0 and 1 panic,
     // attempt 2 runs to completion. The worker survives — the same
     // (single) worker also runs the follow-up job.
-    let lines = run_batch(
+    let (lines, gw) = run_batch(
         cfg(2),
         &[submit_panicking("flaky", 2), submit_panicking("clean", 0)],
     );
@@ -67,6 +69,8 @@ fn panicking_job_is_retried_and_then_succeeds() {
     };
     assert_eq!(terminal_of("flaky"), ["done"], "{lines:#?}");
     assert_eq!(terminal_of("clean"), ["done"], "{lines:#?}");
+    assert_eq!(counter_of(&gw, "gateway.worker_panics"), 2);
+    assert_eq!(counter_of(&gw, "gateway.requeued"), 2);
 }
 
 #[test]
@@ -74,7 +78,7 @@ fn exhausted_retries_quarantine_the_job_as_poisoned() {
     // More injected panics than retries: every attempt dies, the job is
     // quarantined with its distinct terminal — and the worker is not
     // poisoned with it, the next job still runs.
-    let lines = run_batch(
+    let (lines, gw) = run_batch(
         cfg(1),
         &[submit_panicking("cursed", 10), submit_panicking("after", 0)],
     );
@@ -100,4 +104,8 @@ fn exhausted_retries_quarantine_the_job_as_poisoned() {
             .any(|l| l.contains("\"id\":\"after\"") && kind(l) == "done"),
         "{lines:#?}"
     );
+    // Both attempts panicked; only the first was requeued.
+    assert_eq!(counter_of(&gw, "gateway.worker_panics"), 2);
+    assert_eq!(counter_of(&gw, "gateway.requeued"), 1);
+    assert_eq!(counter_of(&gw, "gateway.jobs.poisoned"), 1);
 }

@@ -15,7 +15,7 @@
 
 use crate::{Budget, Gate3, Site};
 use netlist::{Netlist, NetlistError, SignalId};
-use sim::{ObsPlan, ObsStats, ObservabilityEngine, SimResult};
+use sim::{ObsPlan, ObservabilityEngine, SimResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,13 +76,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Records an engine's (or a merged fan-out's) observability tallies on
-/// the telemetry counters — once per round, outside the query hot path.
-fn record_obs_stats(stats: ObsStats) {
-    telemetry::counter_add("sim.obs_queries", stats.queries);
-    telemetry::counter_add("sim.obs_cone_gates", stats.cone_gates);
 }
 
 /// The per-site C1/C2 worker: computes one [`SiteRound`] from the site's
@@ -200,7 +193,6 @@ pub fn run_c2(
             }
             rounds.push(compute_site_round(nl, sim, &mut engine, site, &bs));
         }
-        record_obs_stats(engine.stats());
         return Ok(rounds);
     }
     let plan = Arc::new(ObsPlan::new(nl)?);
@@ -229,19 +221,15 @@ pub fn run_c2(
                         }
                         local.push((i, compute_site_round(nl, sim, &mut engine, *site, bs)));
                     }
-                    (local, engine.stats())
+                    local
                 })
             })
             .collect();
-        let mut obs_stats = ObsStats::default();
         for worker in workers {
-            let (local, worker_stats) = worker.join().expect("BPFS worker panicked");
-            obs_stats = obs_stats.merged(&worker_stats);
-            for (i, round) in local {
+            for (i, round) in worker.join().expect("BPFS worker panicked") {
                 merged[i] = Some(round);
             }
         }
-        record_obs_stats(obs_stats);
     });
     // Unclaimed slots (budget exhaustion only) drop out; claimed sites
     // keep their original relative order.

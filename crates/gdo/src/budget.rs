@@ -76,12 +76,6 @@ impl CancelHandle {
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
-
-    /// Whether cancellation has been requested (or the budget tripped).
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
 }
 
 /// A cooperative run budget: optional wall-clock deadline, optional

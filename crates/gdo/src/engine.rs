@@ -428,9 +428,9 @@ impl<'a> Pipeline<'a> {
             stats.area_before = total_area(nl, &model);
         }
         let cpu_base = stats.cpu_seconds;
-        let xor_available = self.lib.cheapest(GateKind::Xor, 2).is_some()
+        // XOR/XNOR inserted gates only when the library has both cells.
+        let enable_xor = self.lib.cheapest(GateKind::Xor, 2).is_some()
             && self.lib.cheapest(GateKind::Xnor, 2).is_some();
-        let enable_xor = req.cfg.enable_xor && xor_available;
         // The safety net clones its checkpoints here and right after
         // `TimingGraph::update` — the only places the edit journal is
         // guaranteed drained, so a restore never resurrects stale edits.

@@ -23,6 +23,17 @@ use sim::{simulate, VectorSet};
 use std::time::Duration;
 use timing::{CriticalPaths, DelayModel};
 
+/// Area substitutions per batch before returning to the delay phase.
+const AREA_BATCH: usize = 12;
+/// Cap on `a`-signal sites per round (highest NCP first); the resub
+/// engine examines a multiple of it.
+pub(crate) const MAX_SITES_PER_ROUND: usize = 96;
+/// Cap on validity proofs per round — keeps rounds bounded when many
+/// candidates survive simulation on adversarial circuits.
+const MAX_PROOFS_PER_ROUND: usize = 4096;
+/// Safety bound on outer delay/area alternations.
+const MAX_OUTER_ROUNDS: usize = 25;
+
 /// Configuration of the optimizer. [`GdoConfig::default`] reproduces the
 /// paper's setup; the ablation benchmarks toggle individual features.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,10 +46,9 @@ pub struct GdoConfig {
     /// Seed of the reproducible vector stream.
     pub seed: u64,
     /// Enable `OS3`/`IS3` substitutions (inserted AND/OR/XOR gates).
+    /// XOR/XNOR inserted gates are used exactly when the library has
+    /// XOR/XNOR cells, as the paper prescribes.
     pub enable_sub3: bool,
-    /// Allow XOR/XNOR inserted gates (ignored when the library has no
-    /// XOR/XNOR cells, as the paper prescribes).
-    pub enable_xor: bool,
     /// Enumerate XOR triples structurally — XOR combinations have no
     /// valid C2 clauses, so the C2-exploitation filter cannot see them
     /// (the paper notes exactly this loss). Costs extra simulation time;
@@ -53,17 +63,8 @@ pub struct GdoConfig {
     pub conflict_budget: u64,
     /// Run the area optimization phase.
     pub area_phase: bool,
-    /// Area substitutions per batch before returning to the delay phase.
-    pub area_batch: usize,
-    /// Cap on `a`-signal sites per round (highest NCP first).
-    pub max_sites_per_round: usize,
-    /// Cap on validity proofs per round — keeps rounds bounded when many
-    /// candidates survive simulation on adversarial circuits.
-    pub max_proofs_per_round: usize,
     /// Safety bound on delay-phase iterations per visit.
     pub max_delay_rounds: usize,
-    /// Safety bound on outer delay/area alternations.
-    pub max_outer_rounds: usize,
     /// Worker threads for the BPFS fan-out (`0` = one per available
     /// core). Per-site clause invalidation is independent work, and
     /// results are merged in site order, so any thread count produces
@@ -92,17 +93,12 @@ impl Default for GdoConfig {
             vectors: 2048,
             seed: 1995,
             enable_sub3: true,
-            enable_xor: true,
             xor_direct: true,
             candidates: CandidateConfig::default(),
             prover: ProverKind::SatClause,
             conflict_budget: 100_000,
             area_phase: true,
-            area_batch: 12,
-            max_sites_per_round: 96,
-            max_proofs_per_round: 4096,
             max_delay_rounds: 40,
-            max_outer_rounds: 25,
             threads: 0,
             deadline: None,
             work_limit: None,
@@ -138,8 +134,8 @@ impl GdoConfig {
 /// Builder for [`GdoConfig`] that validates budgets before handing out a
 /// configuration. Every setter overrides one field of
 /// [`GdoConfig::default`]; [`build`](Self::build) rejects configurations
-/// the optimizer cannot run (zero simulation vectors, zero round or proof
-/// budgets).
+/// the optimizer cannot run (zero simulation vectors, zero delay rounds,
+/// zero conflict budget).
 #[derive(Debug, Clone)]
 pub struct GdoConfigBuilder {
     cfg: GdoConfig,
@@ -166,8 +162,6 @@ impl GdoConfigBuilder {
         seed: u64,
         /// Enable `OS3`/`IS3` substitutions.
         enable_sub3: bool,
-        /// Allow XOR/XNOR inserted gates.
-        enable_xor: bool,
         /// Enumerate XOR triples structurally.
         xor_direct: bool,
         /// Candidate generation filters.
@@ -178,16 +172,8 @@ impl GdoConfigBuilder {
         conflict_budget: u64,
         /// Run the area optimization phase.
         area_phase: bool,
-        /// Area substitutions per batch (must be positive).
-        area_batch: usize,
-        /// Cap on `a`-signal sites per round (must be positive).
-        max_sites_per_round: usize,
-        /// Cap on validity proofs per round (must be positive).
-        max_proofs_per_round: usize,
         /// Bound on delay-phase iterations per visit (must be positive).
         max_delay_rounds: usize,
-        /// Bound on outer delay/area alternations (must be positive).
-        max_outer_rounds: usize,
         /// Worker threads for the BPFS fan-out (`0` = one per core).
         threads: usize,
         /// Checkpointed verify-with-rollback policy.
@@ -221,11 +207,7 @@ impl GdoConfigBuilder {
         let cfg = self.cfg;
         for (name, value) in [
             ("vectors", cfg.vectors),
-            ("area_batch", cfg.area_batch),
-            ("max_sites_per_round", cfg.max_sites_per_round),
-            ("max_proofs_per_round", cfg.max_proofs_per_round),
             ("max_delay_rounds", cfg.max_delay_rounds),
-            ("max_outer_rounds", cfg.max_outer_rounds),
         ] {
             if value == 0 {
                 return Err(GdoError::Config(format!("{name} must be positive")));
@@ -410,7 +392,7 @@ impl Engine for GdoEngine {
     fn run(&self, ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
         let cfg = ctx.cfg;
         let mut total = 0;
-        for outer in ctx.resume_start()..cfg.max_outer_rounds {
+        for outer in ctx.resume_start()..MAX_OUTER_ROUNDS {
             if ctx.budget.is_exhausted() {
                 break;
             }
@@ -518,7 +500,7 @@ fn delay_round(ctx: &mut OptimizeContext<'_, '_>, use_c3: bool) -> Result<usize,
         }
     }
     sites.sort_by(|&x, &y| site_ncp(nl, y, &cp).total_cmp(&site_ncp(nl, x, &cp)));
-    sites.truncate(cfg.max_sites_per_round);
+    sites.truncate(MAX_SITES_PER_ROUND);
 
     let t0 = std::time::Instant::now();
     let site_cands: Vec<(Site, Vec<SignalId>)> = {
@@ -614,8 +596,7 @@ fn delay_round(ctx: &mut OptimizeContext<'_, '_>, use_c3: bool) -> Result<usize,
     let mut applied = 0;
     let proofs_before = ctx.stats.proofs;
     for pvcc in pvccs {
-        if ctx.stats.proofs - proofs_before >= cfg.max_proofs_per_round || ctx.budget.is_exhausted()
-        {
+        if ctx.stats.proofs - proofs_before >= MAX_PROOFS_PER_ROUND || ctx.budget.is_exhausted() {
             break;
         }
         let rw = pvcc.rewrite;
@@ -700,7 +681,7 @@ fn area_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
         let gy = crate::transform::dead_cone_area(nl, lib, sy.cone_root());
         gy.total_cmp(&gx)
     });
-    site_cands.truncate(cfg.max_sites_per_round.max(cfg.area_batch));
+    site_cands.truncate(MAX_SITES_PER_ROUND);
     // Every surveyed site doubles as a C1 (constant-substitution)
     // candidate; there is no dedicated pre-filter for them.
     telemetry::counter_add("gdo.funnel.const.enumerated", site_cands.len() as u64);
@@ -740,8 +721,8 @@ fn area_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
     let mut applied = 0;
     let proofs_before = ctx.stats.proofs;
     for (_, rw) in pvccs {
-        if applied >= cfg.area_batch
-            || ctx.stats.proofs - proofs_before >= cfg.max_proofs_per_round
+        if applied >= AREA_BATCH
+            || ctx.stats.proofs - proofs_before >= MAX_PROOFS_PER_ROUND
             || ctx.budget.is_exhausted()
         {
             break;
@@ -1181,15 +1162,11 @@ mod tests {
         assert!(!cfg.enable_sub3);
         assert_eq!(cfg.threads, 2);
         // Untouched fields keep their defaults.
-        assert_eq!(cfg.area_batch, GdoConfig::default().area_batch);
+        assert_eq!(cfg.max_delay_rounds, GdoConfig::default().max_delay_rounds);
 
         for bad in [
             GdoConfig::builder().vectors(0).build(),
-            GdoConfig::builder().area_batch(0).build(),
-            GdoConfig::builder().max_sites_per_round(0).build(),
-            GdoConfig::builder().max_proofs_per_round(0).build(),
             GdoConfig::builder().max_delay_rounds(0).build(),
-            GdoConfig::builder().max_outer_rounds(0).build(),
             GdoConfig::builder().conflict_budget(0).build(),
         ] {
             match bad {

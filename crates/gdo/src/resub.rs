@@ -44,6 +44,7 @@ use std::cmp::Ordering;
 use crate::budget::Phase;
 use crate::candidates::CandidateContext;
 use crate::engine::{netlists_equivalent, Engine, EngineId, OptimizeContext, RewriteClass};
+use crate::optimizer::MAX_SITES_PER_ROUND;
 use crate::transform::{pick, pick_or_err, realize_literal};
 use crate::GdoError;
 use library::Library;
@@ -63,13 +64,13 @@ const MIN_DISTINCT_DIVISORS: usize = 3;
 /// be worth proposing; the post-apply strict literal check is the real
 /// profit gate, this only skips sites that cannot possibly pay.
 const MIN_DEAD_LITERALS: usize = 2;
-/// Examined sites per round, as a multiple of
-/// [`crate::GdoConfig::max_sites_per_round`]. A resub site costs only a
-/// pool scan and a greedy cover — no proof unless the realized cover
-/// strictly wins literals — so the engine can afford to look much
-/// further down the ranking than GDO's clause sites, and a wide sweep
-/// keeps the winners inside the budget no matter how input ordering
-/// shuffles the tie-breaks.
+/// Examined sites per round, as a multiple of GDO's per-round site cap
+/// ([`MAX_SITES_PER_ROUND`]). A resub site costs only a pool scan and a
+/// greedy cover — no proof unless the realized cover strictly wins
+/// literals — so the engine can afford to look much further down the
+/// ranking than GDO's clause sites, and a wide sweep keeps the winners
+/// inside the budget no matter how input ordering shuffles the
+/// tie-breaks.
 const SITES_PER_ROUND_FACTOR: usize = 8;
 /// Signature words (64 vectors each) used to *propose* covers: each
 /// round simulates only this prefix of its vectors. Exact agreement over
@@ -182,10 +183,7 @@ fn run_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<RoundOutcome, GdoError
     };
     skewed.sort_by(by_cone);
     balanced.sort_by(by_cone);
-    let cap = ctx
-        .cfg
-        .max_sites_per_round
-        .saturating_mul(SITES_PER_ROUND_FACTOR);
+    let cap = MAX_SITES_PER_ROUND * SITES_PER_ROUND_FACTOR;
     skewed.truncate(cap - (cap / 2).min(balanced.len()));
     balanced.truncate(cap - skewed.len());
     let targets = skewed.into_iter().chain(balanced);

@@ -127,13 +127,6 @@ impl Rewrite {
         let tfo = nl.transitive_fanout(root);
         reads.iter().all(|&s| s != root && !tfo.contains(s))
     }
-
-    /// Whether this rewrite inserts a new gate (counted in the paper's
-    /// `#mod OS/IS3` column) rather than rewiring only.
-    #[must_use]
-    pub fn is_sub3(&self) -> bool {
-        matches!(self.kind, RewriteKind::Sub3 { .. })
-    }
 }
 
 impl fmt::Display for Rewrite {

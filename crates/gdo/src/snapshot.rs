@@ -594,28 +594,25 @@ pub fn config_digest(req: &OptimizeRequest) -> u64 {
     use fmt::Write;
     let c = &req.cfg;
     let mut s = String::new();
-    // The trailing `false` stands where the removed `legacy_eval` switch
-    // was hashed (it was `false` unless a benchmark set it). Keeping the
-    // literal keeps every digest unchanged, so snapshots and gateway
-    // journals written before the switch was removed still resume.
+    // Literals stand where removed settings were hashed, at the values
+    // every run used: `enable_xor` (`true`), `area_batch` (12),
+    // `max_sites_per_round` (96), `max_proofs_per_round` (4096),
+    // `max_outer_rounds` (25) and `legacy_eval` (`false`). Keeping them
+    // keeps every digest unchanged, so snapshots and gateway journals
+    // written before the settings were removed still resume.
     let _ = write!(
         s,
-        "{}|{}|{}|{}|{}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{}|{}|{}|false",
+        "{}|{}|{}|true|{}|{:?}|{:?}|{}|{:?}|{}|12|96|4096|{}|25|false",
         c.vectors,
         c.seed,
         c.enable_sub3,
-        c.enable_xor,
         c.xor_direct,
         c.candidates,
         c.prover,
         c.conflict_budget,
         c.verify_policy,
         c.area_phase,
-        c.area_batch,
-        c.max_sites_per_round,
-        c.max_proofs_per_round,
         c.max_delay_rounds,
-        c.max_outer_rounds,
     );
     let _ = write!(s, "|{}", EngineId::render_list(&req.engines));
     if let Some(rc) = &req.region {

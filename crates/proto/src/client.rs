@@ -502,27 +502,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// A `done`/`degraded` terminal with no cache or netlist decoration
-    /// — the common case of a fresh run.
-    #[must_use]
-    pub fn finished(id: String, degraded: bool, report: RunReport) -> Event {
-        if degraded {
-            Event::Degraded {
-                id,
-                report,
-                cached: false,
-                blif: None,
-            }
-        } else {
-            Event::Done {
-                id,
-                report,
-                cached: false,
-                blif: None,
-            }
-        }
-    }
-
     /// The event's one-line JSON form (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -757,7 +736,7 @@ mod tests {
             panic_attempts: Some(2),
         };
         let line = submit_to_json(&original);
-        telemetry::validate_json(&line).unwrap();
+        json::parse(&line).unwrap();
         let Request::Submit(back) = parse_request(&line).unwrap() else {
             panic!("not a submit")
         };
@@ -878,8 +857,7 @@ mod tests {
         ];
         for e in &events {
             let line = e.to_json();
-            telemetry::validate_json(&line)
-                .unwrap_or_else(|err| panic!("invalid event JSON {line:?}: {err}"));
+            json::parse(&line).unwrap_or_else(|err| panic!("invalid event JSON {line:?}: {err}"));
             assert!(!line.contains('\n'), "event must be a single line");
         }
         assert!(events[1].is_terminal());
@@ -906,12 +884,18 @@ mod tests {
             blif: Some(".model x\n.end\n".into()),
         };
         let line = e.to_json();
-        telemetry::validate_json(&line).unwrap();
+        json::parse(&line).unwrap();
         assert!(line.contains("\"cached\":true"));
         assert!(line.contains("\"blif\":"));
         // Undecorated events stay byte-compatible with the original
         // protocol: no cached/blif keys at all.
-        let plain = Event::finished("j1".into(), false, RunReport::default()).to_json();
+        let plain = Event::Done {
+            id: "j1".into(),
+            report: RunReport::default(),
+            cached: false,
+            blif: None,
+        }
+        .to_json();
         assert!(!plain.contains("cached"));
         assert!(!plain.contains("blif"));
     }

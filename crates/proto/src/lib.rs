@@ -6,8 +6,9 @@
 //! through this one crate, so the protocols cannot drift between
 //! binaries.
 //!
-//! - [`json`] — the minimal hand-rolled JSON reader (field-path error
-//!   context, full escape round-tripping).
+//! - [`json`] — the workspace's JSON reader (field-path error context,
+//!   full escape round-tripping), re-exported from [`telemetry::json`],
+//!   where it sits next to the writer it mirrors.
 //! - [`client`] — client↔gateway requests ([`Request`],
 //!   [`SubmitRequest`]) and response events ([`Event`]).
 //! - [`worker`] — gateway↔worker registration, job pull/assign,
@@ -20,9 +21,10 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod report;
 pub mod worker;
+
+pub use telemetry::json;
 
 pub use client::{
     parse_request, parse_submit_value, parse_verify, submit_to_json, verify_name, Event, JobSource,

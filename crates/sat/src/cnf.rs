@@ -88,78 +88,6 @@ impl fmt::Display for Lit {
     }
 }
 
-/// A clause database in conjunctive normal form.
-///
-/// # Example
-///
-/// ```
-/// use sat::{Cnf, Lit};
-///
-/// let mut cnf = Cnf::new();
-/// let a = cnf.new_var();
-/// let b = cnf.new_var();
-/// cnf.add_clause([Lit::pos(a), Lit::neg(b)]);
-/// assert_eq!(cnf.num_vars(), 2);
-/// assert_eq!(cnf.clauses().len(), 1);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Cnf {
-    num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
-}
-
-impl Cnf {
-    /// Creates an empty formula.
-    #[must_use]
-    pub fn new() -> Self {
-        Cnf::default()
-    }
-
-    /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.num_vars);
-        self.num_vars += 1;
-        v
-    }
-
-    /// Number of allocated variables.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Adds a clause (a disjunction of literals).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a literal references an unallocated variable.
-    pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        let clause: Vec<Lit> = lits.into_iter().collect();
-        for l in &clause {
-            assert!(
-                l.var().index() < self.num_vars,
-                "literal {l} references an unallocated variable"
-            );
-        }
-        self.clauses.push(clause);
-    }
-
-    /// The clauses added so far.
-    #[must_use]
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
-    }
-
-    /// Evaluates the formula under a complete assignment (`assignment[v]`
-    /// is the value of variable `v`). Useful for cross-checking models.
-    #[must_use]
-    pub fn eval(&self, assignment: &[bool]) -> bool {
-        self.clauses
-            .iter()
-            .all(|c| c.iter().any(|l| assignment[l.var().index()] == l.is_pos()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,24 +113,5 @@ mod tests {
         let v = Var::from_index(3);
         assert_eq!(Lit::pos(v).to_string(), "x3");
         assert_eq!(Lit::neg(v).to_string(), "!x3");
-    }
-
-    #[test]
-    fn eval_checks_all_clauses() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let b = cnf.new_var();
-        cnf.add_clause([Lit::pos(a), Lit::pos(b)]);
-        cnf.add_clause([Lit::neg(a)]);
-        assert!(cnf.eval(&[false, true]));
-        assert!(!cnf.eval(&[true, true]));
-        assert!(!cnf.eval(&[false, false]));
-    }
-
-    #[test]
-    #[should_panic(expected = "unallocated")]
-    fn rejects_unallocated_vars() {
-        let mut cnf = Cnf::new();
-        cnf.add_clause([Lit::pos(Var::from_index(0))]);
     }
 }

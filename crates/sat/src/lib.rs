@@ -4,7 +4,7 @@
 //! by ATPG \[10\] or by BDD verification of the modified circuit. This
 //! crate provides the ATPG-equivalent path:
 //!
-//! * [`Cnf`], [`Var`], [`Lit`] — clause database primitives;
+//! * [`Var`], [`Lit`] — variable and literal primitives;
 //! * [`Solver`] — a from-scratch CDCL solver (two-watched literals, 1UIP
 //!   learning, VSIDS decisions, phase saving, Luby restarts, incremental
 //!   solving under assumptions);
@@ -39,15 +39,13 @@
 //! ```
 
 mod cnf;
-mod dimacs;
 mod encode;
 mod miter;
 mod prove;
 mod solver;
 pub mod sweep;
 
-pub use cnf::{Cnf, Lit, Var};
-pub use dimacs::{parse_dimacs, solver_from_cnf, write_dimacs, DimacsError};
+pub use cnf::{Lit, Var};
 pub use encode::CircuitCnf;
 pub use miter::{build_miter, check_equiv, check_equiv_stats, EquivError};
 pub use prove::{ClauseProver, ClauseVerdict, FaultSite};

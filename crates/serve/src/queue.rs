@@ -1,11 +1,16 @@
-//! A bounded, multi-producer/multi-consumer job queue with priority
-//! lanes and explicit backpressure.
+//! A bounded, multi-producer job queue with priority lanes and explicit
+//! backpressure.
 //!
 //! The queue is the admission control point of the service: its capacity
 //! bounds the service's memory and its [`Admission`] policy decides what
 //! happens when traffic exceeds it — block the submitter (backpressure
 //! propagates to the client connection) or reject immediately with
 //! [`PushError::Full`] so the client can retry elsewhere.
+//!
+//! Consumers never wait on the queue: [`JobQueue::pop`] returns `None`
+//! at once when nothing is queued. The gateway's dispatcher pops only
+//! when a worker has a free slot, so it is the one that waits — for a
+//! `pull`, not for a job.
 //!
 //! Ordering guarantees: strict priority between lanes (a `High` item is
 //! always dequeued before any waiting `Normal` or `Low` item), FIFO
@@ -77,15 +82,21 @@ struct Inner<T> {
     closed: bool,
     depth_max: usize,
     blocked_pushes: u64,
-    pop_ticket: u64,
 }
 
-/// The bounded MPMC priority queue. All methods take `&self`; share it
-/// via `Arc` between submitters and the worker pool.
+impl<T> Inner<T> {
+    fn enqueue(&mut self, item: T, priority: Priority) {
+        self.lanes[priority.lane()].push_back(item);
+        self.len += 1;
+        self.depth_max = self.depth_max.max(self.len);
+    }
+}
+
+/// The bounded priority queue. All methods take `&self`; share it via
+/// `Arc` between submitters and the dispatcher.
 pub struct JobQueue<T> {
     cap: usize,
     inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
     not_full: Condvar,
 }
 
@@ -106,9 +117,7 @@ impl<T> JobQueue<T> {
                 closed: false,
                 depth_max: 0,
                 blocked_pushes: 0,
-                pop_ticket: 0,
             }),
-            not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
@@ -148,7 +157,7 @@ impl<T> JobQueue<T> {
                 }
             }
         }
-        self.enqueue(inner, item, priority);
+        inner.enqueue(item, priority);
         Ok(())
     }
 
@@ -161,58 +170,25 @@ impl<T> JobQueue<T> {
     ///
     /// [`PushError::Closed`] once [`close`](Self::close) was called.
     pub fn readmit(&self, item: T, priority: Priority) -> Result<(), PushError> {
-        let inner = self.lock();
+        let mut inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed);
         }
-        self.enqueue(inner, item, priority);
+        inner.enqueue(item, priority);
         Ok(())
     }
 
-    fn enqueue(&self, mut inner: std::sync::MutexGuard<'_, Inner<T>>, item: T, priority: Priority) {
-        inner.lanes[priority.lane()].push_back(item);
-        inner.len += 1;
-        inner.depth_max = inner.depth_max.max(inner.len);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    /// Dequeues the next item (highest lane first, FIFO within a lane),
-    /// blocking while the queue is empty. Returns `None` only once the
-    /// queue is closed *and* fully drained.
+    /// Dequeues the next item (highest lane first, FIFO within a lane)
+    /// without waiting: `None` when nothing is queued. A closed queue
+    /// still hands out every item it accepted.
     #[must_use]
     pub fn pop(&self) -> Option<T> {
-        self.pop_entry().map(|(_, item)| item)
+        self.remove_if(|_| true)
     }
 
-    /// Like [`pop`](Self::pop), with the item's dequeue ticket — a
-    /// counter assigned under the queue lock, so tickets totally order
-    /// all dequeues (the ordering oracle of the property tests).
-    #[must_use]
-    pub fn pop_entry(&self) -> Option<(u64, T)> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(item) = inner.lanes.iter_mut().find_map(VecDeque::pop_front) {
-                inner.len -= 1;
-                let ticket = inner.pop_ticket;
-                inner.pop_ticket += 1;
-                drop(inner);
-                self.not_full.notify_one();
-                return Some((ticket, item));
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Removes the first queued item matching `pred` (any lane) without
-    /// waking consumers — how queued jobs are cancelled before a worker
-    /// picks them up.
+    /// Removes the first queued item matching `pred`, scanning lanes
+    /// highest priority first — how queued jobs are cancelled before a
+    /// worker picks them up.
     #[must_use]
     pub fn remove_if(&self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
         let mut inner = self.lock();
@@ -231,11 +207,9 @@ impl<T> JobQueue<T> {
     }
 
     /// Closes the queue: every pending and future push fails with
-    /// [`PushError::Closed`]; consumers drain the remaining items and
-    /// then see `None`.
+    /// [`PushError::Closed`]; consumers still drain the remaining items.
     pub fn close(&self) {
         self.lock().closed = true;
-        self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
@@ -361,6 +335,16 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn pop_never_waits() {
+        let q = JobQueue::new(2);
+        assert_eq!(q.pop(), None, "an open, empty queue answers at once");
+        q.push(1, Priority::Normal, Admission::Reject).unwrap();
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
+        assert!(!q.is_closed());
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! holds within each (producer, lane) pair, and backpressure keeps the
 //! depth under the capacity bound.
 //!
+//! Consumers pop as the gateway's dispatcher does: without waiting, and
+//! only while holding a lock of their own (the dispatcher holds its
+//! worker-table lock). That lock also numbers the dequeues, which
+//! totally orders them for the FIFO check.
+//!
 //! Randomness comes from a seeded xorshift generator (the workspace has
 //! no external dependencies), so every run replays the same schedules'
 //! *inputs* — the interleavings themselves are whatever the OS provides,
@@ -10,7 +15,7 @@
 
 use serve::{Admission, JobQueue, Priority};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Seeded xorshift64* — deterministic job/priority streams per producer.
 struct XorShift(u64);
@@ -45,14 +50,31 @@ fn stress(consumers: usize, admission: Admission, cap: usize, seed: u64) {
     let producers = 3usize;
     let per_producer = 200usize;
     let queue = Arc::new(JobQueue::new(cap));
+    // The next dequeue number; consumers pop only while holding it.
+    let dequeues = Arc::new(Mutex::new(0u64));
 
     let consumer_handles: Vec<_> = (0..consumers)
         .map(|_| {
             let queue = Arc::clone(&queue);
+            let dequeues = Arc::clone(&dequeues);
             std::thread::spawn(move || {
                 let mut seen: Vec<(u64, Token)> = Vec::new();
-                while let Some(entry) = queue.pop_entry() {
-                    seen.push(entry);
+                loop {
+                    let closed = queue.is_closed();
+                    let popped = {
+                        let mut next = dequeues.lock().unwrap();
+                        queue.pop().map(|token| {
+                            *next += 1;
+                            (*next, token)
+                        })
+                    };
+                    match popped {
+                        Some(entry) => seen.push(entry),
+                        // Closed before this empty pop: no push can
+                        // follow, so the queue stays drained.
+                        None if closed => break,
+                        None => std::thread::yield_now(),
+                    }
                 }
                 seen
             })
@@ -123,10 +145,10 @@ fn stress(consumers: usize, admission: Admission, cap: usize, seed: u64) {
     }
 
     // Invariant 2: FIFO within each (producer, lane) pair, using the
-    // dequeue tickets (assigned under the queue lock) as the total order
-    // over dequeues.
+    // dequeue numbers (assigned under the consumers' lock) as the total
+    // order over dequeues.
     let mut ordered = consumed.clone();
-    ordered.sort_by_key(|(ticket, _)| *ticket);
+    ordered.sort_by_key(|(number, _)| *number);
     let mut last_seq: HashMap<(usize, usize), usize> = HashMap::new();
     for (_, t) in &ordered {
         if let Some(prev) = last_seq.insert((t.producer, t.lane), t.seq) {

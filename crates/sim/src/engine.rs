@@ -137,30 +137,6 @@ impl ObsPlan {
     }
 }
 
-/// Query statistics of one [`ObservabilityEngine`].
-///
-/// Plain integers bumped inside the query path — the engine carries no
-/// telemetry probes in its hot loops; callers (the BPFS fan-out) read
-/// these per worker and record aggregates at round boundaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObsStats {
-    /// Observability queries answered (stem + branch).
-    pub queries: u64,
-    /// Cone gates re-simulated across all queries.
-    pub cone_gates: u64,
-}
-
-impl ObsStats {
-    /// Component-wise sum, for merging per-worker tallies.
-    #[must_use]
-    pub fn merged(&self, other: &ObsStats) -> ObsStats {
-        ObsStats {
-            queries: self.queries + other.queries,
-            cone_gates: self.cone_gates + other.cone_gates,
-        }
-    }
-}
-
 /// Per-vector observability computation by single-fault cone resimulation.
 ///
 /// For a signal `a`, bit `v` of the observability row is 1 iff flipping
@@ -168,12 +144,16 @@ impl ObsStats {
 /// fault on `a` is observable, matching the paper's `O_a` variable.
 ///
 /// The engine reuses internal buffers across queries; create it once per
-/// simulation round and query many signals. Queries resimulate only the
-/// seed's transitive fanout cone in level order ([`ObsPlan`]), so the
-/// cost of a query is proportional to the cone, not the netlist. The
-/// result is bit-identical to a full-netlist walk: gate evaluation only
-/// requires fanins before fanouts, which any topological order — global
-/// or cone-local — provides.
+/// simulation round and query many signals. It tallies its work in plain
+/// integers and records them once, when it is dropped, on the
+/// `sim.obs_queries` and `sim.obs_cone_gates` telemetry counters — so
+/// every user (BPFS, the resub engine's ranking, counterexample replay)
+/// is counted and no probe sits in the query path. Queries resimulate
+/// only the seed's transitive fanout cone in level order ([`ObsPlan`]),
+/// so the cost of a query is proportional to the cone, not the netlist.
+/// The result is bit-identical to a full-netlist walk: gate evaluation
+/// only requires fanins before fanouts, which any topological order —
+/// global or cone-local — provides.
 #[derive(Debug)]
 pub struct ObservabilityEngine<'a> {
     nl: &'a Netlist,
@@ -191,7 +171,10 @@ pub struct ObservabilityEngine<'a> {
     obs: Vec<u64>,
     /// Cone scratch, reused across queries.
     cone: Vec<SignalId>,
-    stats: ObsStats,
+    /// Observability queries answered (stem + branch).
+    queries: u64,
+    /// Cone gates re-simulated across all queries.
+    cone_gates: u64,
 }
 
 impl<'a> ObservabilityEngine<'a> {
@@ -224,14 +207,9 @@ impl<'a> ObservabilityEngine<'a> {
             current: 0,
             obs: vec![0; sim.n_words()],
             cone: Vec::new(),
-            stats: ObsStats::default(),
+            queries: 0,
+            cone_gates: 0,
         }
-    }
-
-    /// Cumulative query statistics of this engine.
-    #[must_use]
-    pub fn stats(&self) -> ObsStats {
-        self.stats
     }
 
     /// Prepares an engine that resimulates the whole netlist per query
@@ -303,7 +281,7 @@ impl<'a> ObservabilityEngine<'a> {
     /// ORs the primary-output differences into `obs`.
     fn propagate_and_compare(&mut self, seed: SignalId, stamp: u32) -> &[u64] {
         let nw = self.sim.n_words();
-        self.stats.queries += 1;
+        self.queries += 1;
         // Mark the transitive fanout cone.
         let mut in_cone = std::mem::take(&mut self.cone);
         in_cone.clear();
@@ -340,7 +318,7 @@ impl<'a> ObservabilityEngine<'a> {
                 }
             }
         }
-        self.stats.cone_gates += (in_cone.len() - 1) as u64;
+        self.cone_gates += (in_cone.len() - 1) as u64;
         self.cone = in_cone;
         // Compare primary outputs.
         for po in self.nl.outputs() {
@@ -367,6 +345,13 @@ impl<'a> ObservabilityEngine<'a> {
             }
         });
         eval_gate_row(self.nl.kind(s), fanin_rows, row);
+    }
+}
+
+impl Drop for ObservabilityEngine<'_> {
+    fn drop(&mut self) {
+        telemetry::counter_add("sim.obs_queries", self.queries);
+        telemetry::counter_add("sim.obs_cone_gates", self.cone_gates);
     }
 }
 

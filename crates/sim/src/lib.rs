@@ -35,6 +35,6 @@ mod engine;
 mod row;
 mod vectors;
 
-pub use engine::{simulate, ObsPlan, ObsStats, ObservabilityEngine, SimResult};
+pub use engine::{simulate, ObsPlan, ObservabilityEngine, SimResult};
 pub use row::{eval_gate_row, split_row, OtherRows};
 pub use vectors::VectorSet;

@@ -4,7 +4,9 @@
 //! [`counter_add`] counters and [`gauge_set`] gauges, RAII [`span`]
 //! timers, structured [`event`]s fanned out to pluggable [`EventSink`]s
 //! (NDJSON files, pretty stderr), and a [`RunReport`] snapshot with a
-//! stable, versioned JSON schema (see [`SCHEMA_VERSION`]).
+//! stable, versioned JSON schema (see [`SCHEMA_VERSION`]). The [`json`]
+//! module reads back what it writes; it is the workspace's one JSON
+//! reader.
 //!
 //! # Cost model
 //!
@@ -29,7 +31,7 @@
 //! let report = telemetry::snapshot();
 //! assert_eq!(report.counters["demo.items"], 3);
 //! assert_eq!(report.spans["demo.work"].count, 1);
-//! assert!(telemetry::validate_json(&report.to_json()).is_ok());
+//! assert!(telemetry::json::parse(&report.to_json()).is_ok());
 //! ```
 
 use std::collections::BTreeMap;
@@ -37,6 +39,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+pub mod json;
 
 /// Version tag embedded in every [`RunReport`] (`schema` field). Bump the
 /// integer suffix only on incompatible changes; additions of new counter
@@ -499,174 +503,6 @@ fn write_json_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Validates that `s` is one syntactically well-formed JSON value — the
-/// smoke check used by the CI step and the schema tests. Not a full
-/// parser: it checks syntax, not any schema.
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                skip_ws(b, pos);
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if *pos + 4 >= b.len()
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {pos}"));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control char at byte {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("expected number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let mut frac = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            frac += 1;
-        }
-        if frac == 0 {
-            return Err(format!("bad fraction at byte {pos}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let mut exp = 0;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-            exp += 1;
-        }
-        if exp == 0 {
-            return Err(format!("bad exponent at byte {pos}"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,7 +592,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
-            validate_json(line).unwrap_or_else(|e| panic!("bad NDJSON {line:?}: {e}"));
+            json::parse(line).unwrap_or_else(|e| panic!("bad NDJSON {line:?}: {e}"));
         }
         assert!(lines[0].contains("\"event\":\"gdo.accept\""));
         assert!(lines[0].contains("\"seq\":0"));
@@ -783,7 +619,7 @@ mod tests {
         let a = r.to_json();
         let b = r.to_json();
         assert_eq!(a, b);
-        validate_json(&a).unwrap();
+        json::parse(&a).unwrap();
         assert!(a.starts_with("{\"schema\":\"gdo-telemetry/1\""));
         // Counters keep insertion-independent (sorted) order.
         assert!(a.find("funnel.c2.applied").unwrap() < a.find("funnel.c2.enumerated").unwrap());
@@ -794,7 +630,10 @@ mod tests {
         let mut out = String::new();
         write_json_str(&mut out, "a\"b\\c\nd\te\u{1}f");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
-        validate_json(&out).unwrap();
+        assert_eq!(
+            json::parse(&out).unwrap().as_str(),
+            Some("a\"b\\c\nd\te\u{1}f")
+        );
     }
 
     #[test]
@@ -803,7 +642,7 @@ mod tests {
         r.gauges.insert("bad".into(), f64::NAN);
         r.gauges.insert("inf".into(), f64::INFINITY);
         let j = r.to_json();
-        validate_json(&j).unwrap();
+        json::parse(&j).unwrap();
         assert!(j.contains("\"bad\":null"));
         assert!(j.contains("\"inf\":null"));
     }
@@ -819,7 +658,7 @@ mod tests {
             "  {}  ",
             "\"\\u00ff\"",
         ] {
-            validate_json(good).unwrap_or_else(|e| panic!("rejected {good:?}: {e}"));
+            json::parse(good).unwrap_or_else(|e| panic!("rejected {good:?}: {e}"));
         }
         for bad in [
             "",
@@ -833,7 +672,7 @@ mod tests {
             "{'a':1}",
             "01a",
         ] {
-            assert!(validate_json(bad).is_err(), "accepted {bad:?}");
+            assert!(json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 

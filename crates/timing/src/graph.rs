@@ -688,12 +688,6 @@ impl TimingGraph {
         self.slack(s) <= self.eps
     }
 
-    /// All critical signals of the netlist, in id order (inputs included).
-    #[must_use]
-    pub fn critical_signals(&self, nl: &Netlist) -> Vec<SignalId> {
-        nl.signals().filter(|&s| self.is_critical(s)).collect()
-    }
-
     /// All critical *gates* (the paper's critical-gate set).
     #[must_use]
     pub fn critical_gates(&self, nl: &Netlist) -> Vec<SignalId> {
