@@ -3,10 +3,9 @@
 //! The gateway answers a duplicate submission — same strashed netlist
 //! structure, library, and deterministic config ([`crate::key`]) — in
 //! O(1) from this cache instead of burning a worker on it. Entries hold
-//! the finished run's circuit name, full [`telemetry::RunReport`]
-//! (serialized), and the optimized netlist as mapped BLIF text: enough
-//! to replay a byte-identical terminal event with only the job id
-//! patched.
+//! the finished run's circuit name, full [`telemetry::RunReport`], and
+//! the optimized netlist as mapped BLIF text: enough to replay a
+//! byte-identical terminal event with only the job id changed.
 //!
 //! Only `done` outcomes are cached. A `done` run never tripped its
 //! budget, so its result equals the unlimited run of the same spec —
@@ -20,19 +19,18 @@
 //! index by scanning the directory — a gateway restart keeps its warm
 //! cache. Unreadable entry files are skipped and deleted, never fatal.
 
-use proto::parse_report;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use telemetry::json_escaped;
+use telemetry::{json_escaped, RunReport};
 
 /// One cached finished run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
     /// Resolved circuit name.
     pub circuit: String,
-    /// The run's report, serialized (`RunReport::to_json` form).
-    pub report_json: String,
+    /// The run's report.
+    pub report: RunReport,
     /// The optimized netlist as mapped BLIF text.
     pub blif: String,
 }
@@ -220,15 +218,12 @@ fn read_entry(path: &Path) -> Option<CacheEntry> {
     let v = proto::json::parse(&text).ok()?;
     let circuit = v.get("circuit")?.as_str()?.to_string();
     let blif = v.get("blif")?.as_str()?.to_string();
-    // Round-trip the report through the real parser: validates it and
-    // re-serializes byte-identically (shortest-round-trip floats), so a
+    // The report parser is lossless (shortest-round-trip floats), so a
     // reloaded entry replays the same bytes the original run produced.
-    let report = v.get("report")?;
-    report.as_obj()?;
-    let report_json = proto::report_from_json(report).ok()?.to_json();
+    let report = proto::report_from_json(v.get("report")?).ok()?;
     Some(CacheEntry {
         circuit,
-        report_json,
+        report,
         blif,
     })
 }
@@ -238,7 +233,7 @@ fn write_entry(dir: &Path, key: u64, entry: &CacheEntry) {
         "{{\"key\":\"{key:016x}\",\"circuit\":{},\"blif\":{},\"report\":{}}}\n",
         json_escaped(&entry.circuit),
         json_escaped(&entry.blif),
-        entry.report_json,
+        entry.report.to_json(),
     );
     // Atomic publish: a crash mid-write leaves a `.tmp` the next open
     // ignores, never a torn entry under the real name.
@@ -249,23 +244,9 @@ fn write_entry(dir: &Path, key: u64, entry: &CacheEntry) {
     }
 }
 
-/// Rewrites a cached report with `id` as its job — the only field of a
-/// replayed terminal that differs from the original run's bytes.
-///
-/// # Errors
-///
-/// The parse error when `report_json` is not a valid report (a cache
-/// entry that loaded successfully cannot fail here).
-pub fn patch_job_id(report_json: &str, id: &str) -> Result<String, String> {
-    let mut report = parse_report(report_json)?;
-    report.meta.insert("job".to_string(), id.to_string());
-    Ok(report.to_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::RunReport;
 
     fn entry(tag: &str) -> CacheEntry {
         let mut r = RunReport::default();
@@ -274,7 +255,7 @@ mod tests {
         r.summary.insert("delay_after".into(), 2.5);
         CacheEntry {
             circuit: tag.to_string(),
-            report_json: r.to_json(),
+            report: r,
             blif: format!(".model {tag}\n.end\n"),
         }
     }
@@ -341,17 +322,5 @@ mod tests {
         assert!(!dir.join(format!("{:016x}.json", 1u64)).exists());
         assert!(dir.join(format!("{:016x}.json", 2u64)).exists());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn patch_job_id_changes_only_the_job_field() {
-        let e = entry("a");
-        let patched = patch_job_id(&e.report_json, "job-99").unwrap();
-        assert_ne!(patched, e.report_json);
-        assert!(patched.contains("\"job\":\"job-99\""));
-        // Round-trip the patch back: identical to patching the original
-        // id in, i.e. nothing else moved.
-        let restored = patch_job_id(&patched, "job-a").unwrap();
-        assert_eq!(restored, e.report_json);
     }
 }

@@ -39,10 +39,11 @@
 //! reaches exactly one terminal event across worker deaths and gateway
 //! restarts.
 
-use crate::cache::{patch_job_id, CacheEntry, ResultCache};
+use crate::cache::{CacheEntry, ResultCache};
 use crate::key::cache_key;
 use crate::link::{lock, output_from, send_line, Output};
 use crate::shed::ShedConfig;
+use crate::worker::reap_finished;
 use gdo::VerifyPolicy;
 use library::Library;
 use proto::{
@@ -54,10 +55,11 @@ use serve::queue::{Admission, JobQueue, PushError};
 use serve::wal::{self, Wal};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Static configuration of one [`Gateway`].
@@ -202,6 +204,8 @@ pub struct Gateway {
     inflight: AtomicUsize,
     draining: AtomicBool,
     shutdown: AtomicBool,
+    /// Where the accept loops listen, for the drain to wake them.
+    listeners: Mutex<Vec<SocketAddr>>,
     next_id: AtomicU64,
     /// Live (admitted, pre-terminal) ids, for duplicate detection.
     live_ids: Mutex<HashSet<String>>,
@@ -257,6 +261,7 @@ impl Gateway {
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            listeners: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(next_id),
             live_ids: Mutex::new(HashSet::new()),
             finished: Mutex::new(finished),
@@ -425,44 +430,38 @@ impl Gateway {
         // O(1) duplicate answer: a cached `done` of the same structure
         // and config replays without touching a worker.
         if let Some(hit) = self.cache.get(key) {
-            match patch_job_id(&hit.report_json, &id) {
-                Ok(report_json) => {
-                    self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                    if let Some(w) = &self.wal {
-                        w.append_job(
-                            &id,
-                            &proto::submit_to_json(&SubmitRequest {
-                                id: Some(id.clone()),
-                                ..req.clone()
-                            }),
-                        );
-                    }
-                    lock(&self.live_ids).insert(id.clone());
-                    emit(
-                        out,
-                        &Event::Accepted {
-                            id: id.clone(),
-                            priority: req.priority,
-                            queue_depth: self.queue.len(),
-                        },
-                    );
-                    // `patch_job_id` re-serializes through the lossless
-                    // report round-trip, so parsing it back cannot fail.
-                    let report =
-                        proto::parse_report(&report_json).expect("patched cache report re-parses");
-                    self.finish(
-                        &id,
-                        out,
-                        &Event::Done {
-                            id: id.clone(),
-                            report,
-                            cached: true,
-                            blif: req.want_netlist.then(|| hit.blif.clone()),
-                        },
-                    );
-                }
-                Err(e) => reject(format!("cache replay failed: {e}"), false),
+            self.counters.admitted.fetch_add(1, Ordering::Relaxed);
+            if let Some(w) = &self.wal {
+                w.append_job(
+                    &id,
+                    &proto::submit_to_json(&SubmitRequest {
+                        id: Some(id.clone()),
+                        ..req.clone()
+                    }),
+                );
             }
+            lock(&self.live_ids).insert(id.clone());
+            emit(
+                out,
+                &Event::Accepted {
+                    id: id.clone(),
+                    priority: req.priority,
+                    queue_depth: self.queue.len(),
+                },
+            );
+            // The job id is the one field a replay changes.
+            let mut report = hit.report;
+            report.meta.insert("job".to_string(), id.clone());
+            self.finish(
+                &id,
+                out,
+                &Event::Done {
+                    id: id.clone(),
+                    report,
+                    cached: true,
+                    blif: req.want_netlist.then_some(hit.blif),
+                },
+            );
             return;
         }
 
@@ -652,6 +651,12 @@ impl Gateway {
         let drain_ms = t0.elapsed().as_millis() as u64;
         emit(out, &Event::Drained { drain_ms });
         self.shutdown.store(true, Ordering::SeqCst);
+        // Each accept loop is blocked in `accept`: this connection
+        // returns it, and it sees the shutdown and exits.
+        let listeners = lock(&self.listeners).clone();
+        for addr in listeners {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     /// Batch mode: serves request lines from `reader` (e.g. stdin),
@@ -982,7 +987,7 @@ impl Gateway {
                         pending.key,
                         CacheEntry {
                             circuit,
-                            report_json: report.to_json(),
+                            report: report.clone(),
                             blif: blif.clone(),
                         },
                     );
@@ -1251,35 +1256,46 @@ fn emit(out: &Output, event: &Event) {
     send_line(out, &event.to_json());
 }
 
-/// Non-blocking accept loop shared by the client and worker listeners:
-/// one thread per connection, exits once the gateway shuts down. Every
-/// accepted stream has `TCP_NODELAY` set, so a line goes out as soon as
-/// it is written, not when the peer acknowledges the previous one.
-fn accept_loop(
+/// The accept loop of every gateway listener — clients, workers and
+/// HTTP: one thread per connection, exits once the gateway shuts down.
+/// Every accepted stream has `TCP_NODELAY` set, so a line goes out as
+/// soon as it is written, not when the peer acknowledges the previous
+/// one.
+///
+/// The loop blocks in `accept`. It records its listener's address
+/// first (an unspecified IP as loopback), and [`Gateway::drain`]
+/// connects to it right after shutting down, so the loop exits on the
+/// first accept that returns after shutdown. Finished connection
+/// threads are joined as new connections arrive: the handle list holds
+/// only live connections.
+pub(crate) fn accept_loop(
     listener: &TcpListener,
     gw: &Arc<Gateway>,
     handler: impl Fn(&Arc<Gateway>, TcpStream) + Send + Sync + 'static,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    lock(&gw.listeners).push(addr);
     let handler = Arc::new(handler);
-    let mut conns = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let gw = Arc::clone(gw);
-                let handler = Arc::clone(&handler);
-                conns.push(std::thread::spawn(move || handler(&gw, stream)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if gw.is_shut_down() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    while !gw.is_shut_down() {
+        let (stream, _addr) = listener.accept()?;
+        if gw.is_shut_down() {
+            break;
         }
+        let panicked = reap_finished(&mut conns);
+        if panicked > 0 {
+            eprintln!("gateway: {panicked} finished connection thread(s) had panicked");
+        }
+        let _ = stream.set_nodelay(true);
+        let gw = Arc::clone(gw);
+        let handler = Arc::clone(&handler);
+        conns.push(std::thread::spawn(move || handler(&gw, stream)));
     }
     for c in conns {
         let _ = c.join();

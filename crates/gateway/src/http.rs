@@ -6,39 +6,33 @@
 //! `name value` line per counter (the `gateway.*` family plus queue
 //! lane depths); `/status` emits a short human-readable summary.
 
-use crate::gateway::Gateway;
+use crate::gateway::{accept_loop, Gateway};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Serves `/metrics` and `/status` until the gateway shuts down.
+/// Serves `/metrics` and `/status` until the gateway shuts down, on the
+/// accept loop the client and worker listeners use: each request is
+/// answered on its own connection thread, so a client that sends
+/// nothing holds that thread for the 500 ms read timeout, not the
+/// listener.
 ///
 /// # Errors
 ///
 /// IO errors from the listener itself (individual connection failures
 /// are swallowed).
 pub fn serve_http(gw: &Arc<Gateway>, listener: &TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                answer(gw, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if gw.is_shut_down() {
-                    return Ok(());
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    accept_loop(listener, gw, |gw, stream| {
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+        answer(gw, stream);
+    })
 }
 
-fn answer(gw: &Arc<Gateway>, mut stream: TcpStream) {
+/// Reads one request and writes the whole response in one write: a
+/// response split over several sends would wait for the client's
+/// delayed ACK (DESIGN.md §11).
+fn answer(gw: &Gateway, mut stream: TcpStream) {
     // One small read is enough for the request line; scrapers send tiny
     // GETs and we never read a body.
     let mut buf = [0u8; 1024];
@@ -57,13 +51,12 @@ fn answer(gw: &Arc<Gateway>, mut stream: TcpStream) {
             "not found (try /metrics or /status)\n".to_string(),
         ),
     };
-    let _ = write!(
-        stream,
+    let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; charset=utf-8\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.flush();
+    let _ = stream.write_all(response.as_bytes());
 }
 
 /// The `/metrics` body: one `name value` line per gateway counter.

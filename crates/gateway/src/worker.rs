@@ -10,13 +10,13 @@
 //! checkpoint cadence — so a report is byte-identical whichever worker,
 //! over whichever link, ran it.
 //!
-//! While a job runs, a ticker thread streams the process's telemetry
-//! counter deltas back as `progress` lines (the default worker runs one
-//! job at a time, so the deltas attribute to the running job); the
-//! gateway fans them out to clients that asked for them. Only
-//! [`run_worker`] enables telemetry, so in-process workers send none. A
-//! `cancel` from the gateway trips the job's [`gdo::Budget`] cancel
-//! handle, which exists from the moment the `assign` is read.
+//! Each job runs under its own [`gdo::Budget`], which exists from the
+//! moment the `assign` is read: a `cancel` from the gateway trips its
+//! cancel handle, and a job that asked for progress has a ticker thread
+//! stream the work charged to it back as `progress` lines, which the
+//! gateway fans out to the job's client. The ticker reads only the
+//! job's own budget, so jobs sharing a worker never see each other's
+//! work, and no worker touches the process-wide telemetry collector.
 //!
 //! The runtime is plain blocking code, so tests can run a worker on a
 //! thread against an in-process gateway.
@@ -32,11 +32,13 @@ use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How often a running job that asked for progress reports it.
+const PROGRESS_TICK: Duration = Duration::from_millis(100);
 
 /// Configuration of one worker.
 #[derive(Debug, Clone)]
@@ -66,7 +68,7 @@ impl Default for WorkerOptions {
 
 /// Connects to a gateway and serves jobs until the gateway drains or
 /// the connection drops. Blocking; run it on a thread to embed a worker
-/// in a test. Enables telemetry, which the progress stream samples.
+/// in a test.
 ///
 /// # Errors
 ///
@@ -78,7 +80,6 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), String> {
     // wait for the gateway to acknowledge the other.
     stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    telemetry::enable();
     serve_link(reader, output_from(stream), opts)
 }
 
@@ -218,11 +219,13 @@ fn serve_link(reader: impl BufRead, out: Output, opts: &WorkerOptions) -> Result
     Ok(())
 }
 
-/// Joins the job threads that have finished and drops their handles, so
-/// a long-lived worker keeps handles (and, on glibc, stacks) only for the
-/// jobs still running. Returns how many of the joined threads panicked.
-fn reap_finished(jobs: &mut Vec<JoinHandle<()>>) -> usize {
-    jobs.extract_if(.., |job| job.is_finished())
+/// Joins the threads that have finished and drops their handles, so a
+/// long-lived worker (job threads) or accept loop (connection threads)
+/// keeps handles, and on glibc stacks, only for the threads still
+/// running. Returns how many of the joined threads panicked.
+pub(crate) fn reap_finished(threads: &mut Vec<JoinHandle<()>>) -> usize {
+    threads
+        .extract_if(.., |thread| thread.is_finished())
         .map(JoinHandle::join)
         .filter(Result::is_err)
         .count()
@@ -256,55 +259,23 @@ fn run_assignment(
         }
     };
 
-    // Progress ticker: stream telemetry counter deltas while the job
-    // runs. Deltas — not absolutes — so a long-lived worker's history
-    // doesn't leak into the next job's progress.
-    let ticker_stop = Arc::new(AtomicBool::new(false));
-    let ticker = if want_progress {
-        let out = Arc::clone(out);
-        let stop = Arc::clone(&ticker_stop);
-        let id = id.clone();
-        let mut last = telemetry::snapshot().counters;
-        Some(std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(100));
-                let now = telemetry::snapshot().counters;
-                let deltas: Vec<(String, u64)> = now
-                    .iter()
-                    .filter_map(|(k, &v)| {
-                        let before = last.get(k).copied().unwrap_or(0);
-                        (v > before).then(|| (k.clone(), v - before))
-                    })
-                    .collect();
-                if !deltas.is_empty() {
-                    send_line(
-                        &out,
-                        &WorkerMsg::Progress {
-                            id: id.clone(),
-                            phase: phase_of(&deltas),
-                            counters: deltas,
-                        }
-                        .to_json(),
-                    );
-                }
-                last = now;
-            }
-        }))
-    } else {
-        None
-    };
-
-    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if fault_inject && panic_attempts > 0 {
-            panic!("fault-inject: injected worker panic ({panic_attempts} to go)");
+    let run = std::thread::scope(|scope| {
+        let (stop, stopped) = mpsc::channel::<()>();
+        if want_progress {
+            let (id, partitioned) = (&id, spec.partitions > 0);
+            scope.spawn(move || stream_progress(id, partitioned, budget, out, &stopped));
         }
-        run_job(lib, &spec, budget)
-    }));
-
-    ticker_stop.store(true, Ordering::Relaxed);
-    if let Some(t) = ticker {
-        let _ = t.join();
-    }
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            if fault_inject && panic_attempts > 0 {
+                panic!("fault-inject: injected worker panic ({panic_attempts} to go)");
+            }
+            run_job(lib, &spec, budget)
+        }));
+        // The ticker sends its last delta and returns; the scope joins it
+        // before the `result` line below is written.
+        drop(stop);
+        run
+    });
     if let Some(path) = temp {
         let _ = std::fs::remove_file(path);
     }
@@ -384,15 +355,47 @@ fn job_budget(spec: &SubmitRequest) -> Budget {
     Budget::new(time_ms.map(Duration::from_millis), work)
 }
 
-/// Names the phase a progress tick belongs to from which counters
-/// moved.
-fn phase_of(deltas: &[(String, u64)]) -> String {
-    if deltas.iter().any(|(k, _)| k.starts_with("partition.")) {
-        "regions".to_string()
-    } else if deltas.iter().any(|(k, _)| k.starts_with("resub.")) {
-        "engine:resub".to_string()
-    } else {
-        "engine:gdo".to_string()
+/// Streams a running job's progress: every [`PROGRESS_TICK`], and once
+/// more when `stopped` disconnects, one `progress` line carrying the
+/// work units charged to `budget` since the previous line as
+/// `budget.work_done`, so a job's lines sum to the work it charged.
+/// The phase is the budget's; a partitioned job's budget is charged
+/// region by region and never leaves setup, so its phase is `regions`.
+/// A tick with nothing charged sends nothing.
+fn stream_progress(
+    id: &str,
+    partitioned: bool,
+    budget: &Budget,
+    out: &Output,
+    stopped: &mpsc::Receiver<()>,
+) {
+    let mut sent = 0;
+    loop {
+        let running = matches!(
+            stopped.recv_timeout(PROGRESS_TICK),
+            Err(RecvTimeoutError::Timeout)
+        );
+        let done = budget.work_done();
+        if done > sent {
+            let phase = if partitioned {
+                "regions"
+            } else {
+                budget.phase().name()
+            };
+            send_line(
+                out,
+                &WorkerMsg::Progress {
+                    id: id.to_string(),
+                    phase: phase.to_string(),
+                    counters: vec![("budget.work_done".to_string(), done - sent)],
+                }
+                .to_json(),
+            );
+            sent = done;
+        }
+        if !running {
+            return;
+        }
     }
 }
 

@@ -71,6 +71,14 @@ fn report_bytes(line: &str) -> String {
     line[start..line.len() - 1].to_string()
 }
 
+/// `report` (the bytes of a report object) with `id` as its job — the
+/// one field a cache hit replays differently from the original run.
+fn with_job_id(report: &str, id: &str) -> String {
+    let mut report = proto::parse_report(report).unwrap();
+    report.meta.insert("job".to_string(), id.to_string());
+    report.to_json()
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gdo_gwtest_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -128,10 +136,9 @@ fn duplicate_batch_is_answered_from_the_cache_byte_identically() {
             Some("true"),
             "{dup_line}"
         );
-        // Byte-identical modulo the job id: patching the fresh report
-        // to the duplicate's id must reproduce the cached bytes.
-        let expected =
-            gateway::cache::patch_job_id(&report_bytes(fresh_line), &format!("dup-{i}")).unwrap();
+        // Byte-identical modulo the job id: the fresh report with the
+        // duplicate's id must reproduce the cached bytes.
+        let expected = with_job_id(&report_bytes(fresh_line), &format!("dup-{i}"));
         assert_eq!(report_bytes(dup_line), expected);
     }
 
@@ -221,7 +228,7 @@ fn cache_survives_a_gateway_restart() {
     assert_eq!(field(done, "cached").as_deref(), Some("true"), "{done}");
     assert_eq!(
         report_bytes(done),
-        gateway::cache::patch_job_id(&first_report, "b").unwrap(),
+        with_job_id(&first_report, "b"),
         "the disk round-trip preserved the report bytes"
     );
     assert_eq!(counter_of(&gw, "gateway.cache.hits"), 1);
@@ -536,6 +543,101 @@ fn progress_streams_only_to_subscribed_jobs() {
     client.send("{\"op\":\"drain\"}");
     client.recv_until_drained();
     w.join().unwrap();
+}
+
+/// Two jobs that asked for progress run at once on one two-slot TCP
+/// worker. Every progress line names one of them, none follows its
+/// job's terminal, and each job's `budget.work_done` deltas add up to
+/// exactly the work the same spec charges when it runs alone: no job's
+/// progress carries the other's work.
+#[test]
+fn concurrent_jobs_stream_only_their_own_work() {
+    let (_gw, client_addr, worker_addr) = start(GatewayConfig::default());
+    let w = std::thread::spawn(move || {
+        gateway::run_worker(
+            &worker_addr.to_string(),
+            &WorkerOptions {
+                name: "w".to_string(),
+                slots: 2,
+                ..WorkerOptions::default()
+            },
+        )
+        .unwrap();
+    });
+    let mut client = Client::connect(client_addr);
+    // (id, circuit, partitions)
+    let jobs = [("wide", "C880", 4), ("small", "Z5xp1", 0)];
+    for (id, circuit, partitions) in jobs {
+        client.send(&format!(
+            "{{\"op\":\"submit\",\"id\":\"{id}\",\"circuit\":\"{circuit}\",\"verify\":\"off\",\"partitions\":{partitions},\"progress\":true}}"
+        ));
+    }
+    let lines = client.recv_until_terminals(2);
+    client.send("{\"op\":\"drain\"}");
+    client.recv_until_drained();
+    w.join().unwrap();
+    // The two jobs ran at once: both started before either finished.
+    let first_terminal = lines.iter().position(|l| common::is_terminal(l)).unwrap();
+    assert_eq!(
+        count_kind(&lines[..first_terminal], "started"),
+        2,
+        "{lines:?}"
+    );
+
+    let lib = library::standard_library();
+    for (id, circuit, partitions) in jobs {
+        let terminal = lines
+            .iter()
+            .position(|l| common::is_terminal(l) && field(l, "id").as_deref() == Some(id))
+            .unwrap_or_else(|| panic!("no terminal for {id}: {lines:?}"));
+        assert_eq!(event_kind(&lines[terminal]), "done", "{lines:?}");
+        let mut streamed = 0;
+        for (at, line) in lines.iter().enumerate() {
+            if event_kind(line) != "progress" {
+                continue;
+            }
+            let job = field(line, "id").unwrap_or_default();
+            assert!(jobs.iter().any(|j| j.0 == job), "{line}");
+            if job != id {
+                continue;
+            }
+            assert!(at < terminal, "progress after the terminal: {line}");
+            let v = proto::json::parse(line).unwrap();
+            let counters = v.get("counters").and_then(|c| c.as_obj()).unwrap();
+            assert_eq!(counters.len(), 1, "{line}");
+            streamed += v
+                .get("counters")
+                .and_then(|c| c.get("budget.work_done"))
+                .and_then(|n| n.as_u64())
+                .unwrap_or_else(|| panic!("no budget.work_done: {line}"));
+            if partitions > 0 {
+                assert_eq!(field(line, "phase").as_deref(), Some("regions"), "{line}");
+            }
+        }
+        let alone = gdo::Budget::unlimited();
+        serve::job::run_job(
+            &lib,
+            &serve::JobSpec {
+                id: id.to_string(),
+                source: proto::JobSource::Suite(circuit.to_string()),
+                seed: 1995,
+                vectors: None,
+                verify: gdo::VerifyPolicy::Off,
+                engines: vec![gdo::EngineId::Gdo],
+                partitions,
+                checkpoint: None,
+                resume: None,
+            },
+            &alone,
+        )
+        .unwrap();
+        assert!(alone.work_done() > 0, "{id} charges work");
+        assert_eq!(
+            streamed,
+            alone.work_done(),
+            "{id}: progress deltas must sum to the job's own work"
+        );
+    }
 }
 
 /// A gateway that dies with accepted-but-unfinished jobs re-runs them

@@ -261,6 +261,17 @@ fn recovery_rejects_corrupt_snapshots_and_reruns_from_journal() {
             done.contains("resume_rejected"),
             "{tag}: report must note the rejected snapshot: {done}"
         );
+        let rejected = proto::json::parse(done)
+            .unwrap()
+            .get("report")
+            .and_then(|r| r.get("counters"))
+            .and_then(|c| c.get("snapshot.rejected"))
+            .and_then(|n| n.as_u64());
+        assert_eq!(
+            rejected,
+            Some(1),
+            "{tag}: report must count the rejected snapshot: {done}"
+        );
         let replay = wal::replay(&dir).unwrap();
         assert!(replay.unfinished.is_empty(), "{tag}");
         std::fs::remove_dir_all(&dir).ok();

@@ -355,6 +355,28 @@ fn batch_mode_drains_at_eof() {
     );
 }
 
+/// `gdo-served`'s in-process workers stream progress like remote ones:
+/// a job that asked for it gets a `progress` event, carrying the work
+/// it charged, before its terminal.
+#[test]
+fn in_process_workers_stream_progress() {
+    let text = run_batch(
+        served(),
+        1,
+        "{\"op\":\"submit\",\"id\":\"p\",\"circuit\":\"Z5xp1\",\"verify\":\"off\",\"progress\":true}\n",
+    );
+    let lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let progress = lines.iter().position(|l| event_kind(l) == "progress");
+    let done = lines.iter().position(|l| event_kind(l) == "done");
+    assert!(
+        matches!((progress, done), (Some(p), Some(d)) if p < d),
+        "a progress event must precede the terminal:\n{text}"
+    );
+    let line = &lines[progress.unwrap()];
+    assert!(line.contains("\"id\":\"p\""), "{line}");
+    assert!(line.contains("\"budget.work_done\":"), "{line}");
+}
+
 /// Regression: a worker that has popped a job but not yet marked it
 /// running is invisible to both the queue depth and the running count,
 /// so a drain racing that window used to report `drained` before the

@@ -186,6 +186,13 @@ impl Budget {
         self.phase.store(phase as u8, Ordering::Relaxed);
     }
 
+    /// The phase the pipeline last entered ([`Phase::Setup`] until it
+    /// enters another).
+    #[must_use]
+    pub fn phase(&self) -> Phase {
+        Phase::from_u8(self.phase.load(Ordering::Relaxed)).unwrap_or(Phase::Setup)
+    }
+
     /// The cooperative check: `true` once the deadline passed, the work
     /// ceiling was reached, or the run was cancelled. The first `true`
     /// latches the cancel flag and the tripping phase.
@@ -285,7 +292,9 @@ mod tests {
     #[test]
     fn zero_deadline_trips_immediately_and_latches_phase() {
         let b = Budget::new(Some(Duration::ZERO), None);
+        assert_eq!(b.phase(), Phase::Setup);
         b.enter_phase(Phase::Delay);
+        assert_eq!(b.phase(), Phase::Delay);
         assert!(b.is_exhausted());
         assert_eq!(b.tripped_phase(), Some(Phase::Delay));
         // Later phases do not overwrite the tripping phase.

@@ -22,7 +22,8 @@
 //! fields are optional; the gateway assigns ids (`job-N`) and applies
 //! its configured defaults. `"netlist":true` asks for the optimized netlist
 //! (mapped BLIF text) inline in the terminal event; `"progress":true`
-//! subscribes to streamed per-phase progress events while the job runs.
+//! subscribes to streamed progress events (work charged, by phase)
+//! while the job runs.
 //!
 //! ## Responses
 //!
@@ -159,9 +160,10 @@ pub struct SubmitRequest {
     /// Return the optimized netlist (mapped BLIF text) inline in the
     /// terminal event.
     pub want_netlist: bool,
-    /// Stream per-phase `progress` events to this client while the job
-    /// runs. Only workers that run with telemetry — remote `gdo-worker`s —
-    /// send any; `gdo-served`'s in-process workers do not.
+    /// Stream `progress` events to this client while the job runs:
+    /// every 100 ms and once before the terminal, the work units the job
+    /// charged since the previous event (counter `budget.work_done`) and
+    /// its phase. In-process and remote workers alike send them.
     pub want_progress: bool,
     /// Fault injection: panic the worker this many times before letting
     /// the job run. Parsed unconditionally, honored only by workers
@@ -411,9 +413,11 @@ pub enum Event {
     Progress {
         /// Job id.
         id: String,
-        /// What the worker is doing (`engine:gdo`, `regions`, …).
+        /// The phase the job's budget is in (`setup`, `delay`, `area`,
+        /// `resub`, `verify`), or `regions` for a partitioned job.
         phase: String,
-        /// Live counter snapshot deltas for this job.
+        /// What the job did since its previous progress event:
+        /// `budget.work_done`, the work units it charged.
         counters: Vec<(String, u64)>,
     },
     /// The job finished its full run. Terminal.

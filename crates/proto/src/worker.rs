@@ -10,13 +10,13 @@
 //! processes — a fast worker pulls more often and naturally claims more
 //! of the queue.
 //!
-//! While running, workers send periodic `beat` lines and per-phase
-//! `progress` lines; silence past the heartbeat deadline (or TCP EOF —
-//! a SIGKILL closes the socket immediately) tells the gateway the
-//! worker is gone, and the in-flight job is requeued to resume from its
-//! last checkpoint. A `cancel` for a job never precedes its `assign` on
-//! the wire, and `drain` tells an idle worker to exit. Every job ends
-//! with exactly one `result` line.
+//! While running, workers send periodic `beat` lines, and `progress`
+//! lines for jobs whose client asked for them; silence past the
+//! heartbeat deadline (or TCP EOF — a SIGKILL closes the socket
+//! immediately) tells the gateway the worker is gone, and the in-flight
+//! job is requeued to resume from its last checkpoint. A `cancel` for a
+//! job never precedes its `assign` on the wire, and `drain` tells an
+//! idle worker to exit. Every job ends with exactly one `result` line.
 //!
 //! Messages are tagged `"w"` (worker→gateway) and `"g"`
 //! (gateway→worker):
@@ -27,7 +27,7 @@
 //! {"w":"pull"}
 //! {"g":"assign","spec":{"op":"submit","id":"job-1","circuit":"9sym"},
 //!  "input":{"format":"bench","text":"INPUT(a)…"}}
-//! {"w":"progress","id":"job-1","phase":"engine:gdo","counters":{"gdo.rounds":2}}
+//! {"w":"progress","id":"job-1","phase":"delay","counters":{"budget.work_done":412}}
 //! {"w":"result","id":"job-1","outcome":"done","circuit":"9sym",
 //!  "report":{…},"blif":".model…"}
 //! ```
@@ -103,14 +103,15 @@ pub enum WorkerMsg {
     Pull,
     /// Liveness heartbeat.
     Beat,
-    /// Per-phase progress of a running job, fanned out to subscribed
-    /// clients.
+    /// Progress of a running job, fanned out to subscribed clients.
     Progress {
         /// Job id.
         id: String,
-        /// What the worker is doing.
+        /// The phase the job's budget is in, or `regions` for a
+        /// partitioned job.
         phase: String,
-        /// Live per-job counter snapshot.
+        /// Per-job deltas since the job's previous progress line
+        /// (`budget.work_done`).
         counters: Vec<(String, u64)>,
     },
     /// The job's single result.

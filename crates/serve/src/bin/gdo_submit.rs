@@ -1,4 +1,5 @@
-//! `gdo-submit` — the batch client for `gdo-served`.
+//! `gdo-submit` — the batch client of the serving stack: `gdo-served`
+//! or `gdo-gateway`, which speak the same NDJSON protocol.
 //!
 //! ```text
 //! gdo-submit --addr HOST:PORT [--circuit NAME]... [--file PATH]...
@@ -41,7 +42,7 @@ fn usage() -> String {
        --resume PATH            resume from a snapshot file (server-side path)\n\
        --checkpoint PATH        write run snapshots to PATH (server-side path)\n\
        --with-netlist           return the optimized netlist (mapped BLIF) inline\n\
-       --progress               stream per-phase progress events (gateway only)\n\
+       --progress               stream progress events (work charged, by phase)\n\
      \n\
      control:\n\
        --status                 request a status event\n\

@@ -46,8 +46,8 @@ pub struct JobSpec {
     pub checkpoint: Option<PathBuf>,
     /// Snapshot path to resume from. A snapshot that is unreadable,
     /// corrupt, or from a different spec/input is rejected cleanly
-    /// (counted in `snapshot.rejected`, noted in the report meta) and
-    /// the job re-runs from scratch.
+    /// (counted in the report's `snapshot.rejected` counter, explained
+    /// in its `resume_rejected` meta) and the job runs from the start.
     pub resume: Option<PathBuf>,
 }
 
@@ -202,7 +202,7 @@ pub fn run_job(lib: &Library, spec: &JobSpec, budget: &Budget) -> Result<JobResu
     // never sink the job: note it, count it, and re-run from scratch —
     // the journal replay already guarantees the job itself is not lost.
     fn reject_snapshot(report: &mut RunReport, e: String) {
-        telemetry::counter_add("snapshot.rejected", 1);
+        report.counters.insert("snapshot.rejected".into(), 1);
         report.meta.insert("resume_rejected".into(), e);
     }
     let stats = if spec.partitions > 0 {
