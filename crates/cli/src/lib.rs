@@ -292,8 +292,12 @@ impl Options {
                 "--require" => {
                     out.require = Some(
                         need("--require")?
-                            .parse()
-                            .map_err(|_| CliError::Usage("--require needs a number".into()))?,
+                            .parse::<f64>()
+                            .ok()
+                            .filter(|t| t.is_finite())
+                            .ok_or_else(|| {
+                                CliError::Usage("--require needs a finite number".into())
+                            })?,
                     );
                 }
                 "--time-budget-ms" => {
@@ -757,8 +761,13 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
     }
 
     if let Some(required) = options.require {
-        let tg = TimingGraph::from_scratch_constrained(&nl, &model, None, Some(required))
-            .map_err(|e| CliError::Parse(format!("timing failed: {e}")))?;
+        let tg = TimingGraph::from_scratch_region(
+            &nl,
+            &model,
+            None,
+            &vec![required; nl.outputs().len()],
+        )
+        .map_err(|e| CliError::Parse(format!("timing failed: {e}")))?;
         let slack = tg.worst_slack();
         if !options.quiet {
             println!(
@@ -996,6 +1005,21 @@ mod tests {
             opts(&["a.bench", "--verify-every", "0"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn require_takes_finite_numbers_only() {
+        for bad in ["inf", "-inf", "NaN", "soon"] {
+            assert!(
+                matches!(
+                    opts(&["a.bench", "--require", bad]),
+                    Err(CliError::Usage(_))
+                ),
+                "--require {bad} must be a usage error"
+            );
+        }
+        let o = opts(&["a.bench", "--require", "-1.5"]).unwrap().unwrap();
+        assert_eq!(o.require, Some(-1.5));
     }
 
     #[test]

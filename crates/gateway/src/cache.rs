@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use telemetry::{json_escaped, RunReport};
 
 /// One cached finished run.
@@ -36,7 +36,8 @@ pub struct CacheEntry {
 }
 
 struct Inner {
-    entries: HashMap<u64, CacheEntry>,
+    /// Shared with every hit: a lookup clones the `Arc`, not the entry.
+    entries: HashMap<u64, Arc<CacheEntry>>,
     /// Keys from least- to most-recently used.
     order: Vec<u64>,
     hits: u64,
@@ -116,7 +117,7 @@ impl ResultCache {
         {
             let mut inner = cache.lock();
             for (_, key, parsed) in found {
-                inner.entries.insert(key, parsed);
+                inner.entries.insert(key, Arc::new(parsed));
                 inner.order.push(key);
             }
         }
@@ -124,9 +125,10 @@ impl ResultCache {
         Ok(cache)
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
+    /// Looks `key` up, refreshing its recency on a hit. Every hit on an
+    /// entry shares it; the caller clones what it needs.
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<CacheEntry> {
+    pub fn get(&self, key: u64) -> Option<Arc<CacheEntry>> {
         let mut inner = self.lock();
         match inner.entries.get(&key).cloned() {
             Some(entry) => {
@@ -154,7 +156,7 @@ impl ResultCache {
         }
         {
             let mut inner = self.lock();
-            inner.entries.insert(key, entry);
+            inner.entries.insert(key, Arc::new(entry));
             inner.order.retain(|&k| k != key);
             inner.order.push(key);
         }
@@ -282,6 +284,17 @@ mod tests {
     }
 
     #[test]
+    fn hits_share_one_entry() {
+        let cache = ResultCache::in_memory(2);
+        cache.insert(1, entry("a"));
+        let (first, second) = (cache.get(1).unwrap(), cache.get(1).unwrap());
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "a hit must not copy the entry"
+        );
+    }
+
+    #[test]
     fn zero_capacity_disables_caching() {
         let cache = ResultCache::in_memory(0);
         cache.insert(1, entry("a"));
@@ -304,7 +317,7 @@ mod tests {
         let cache = ResultCache::open(&dir, 8).unwrap();
         assert_eq!(cache.len(), 2);
         let back = cache.get(0xabcd).unwrap();
-        assert_eq!(back, entry("a"), "entry round-trips byte-identically");
+        assert_eq!(*back, entry("a"), "entry round-trips byte-identically");
         assert!(
             !dir.join("00000000000000ff.json").exists(),
             "corrupt entry was deleted"

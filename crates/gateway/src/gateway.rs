@@ -43,7 +43,6 @@ use crate::cache::{CacheEntry, ResultCache};
 use crate::key::cache_key;
 use crate::link::{lock, output_from, send_line, Output};
 use crate::shed::ShedConfig;
-use crate::worker::reap_finished;
 use gdo::VerifyPolicy;
 use library::Library;
 use proto::{
@@ -450,7 +449,7 @@ impl Gateway {
                 },
             );
             // The job id is the one field a replay changes.
-            let mut report = hit.report;
+            let mut report = hit.report.clone();
             report.meta.insert("job".to_string(), id.clone());
             self.finish(
                 &id,
@@ -459,7 +458,7 @@ impl Gateway {
                     id: id.clone(),
                     report,
                     cached: true,
-                    blif: req.want_netlist.then_some(hit.blif),
+                    blif: req.want_netlist.then(|| hit.blif.clone()),
                 },
             );
             return;
@@ -980,19 +979,23 @@ impl Gateway {
                 report,
                 blif,
             } => {
-                if !degraded {
+                let want_netlist = pending.spec.want_netlist;
+                let blif = if degraded {
+                    want_netlist.then_some(blif)
+                } else {
                     // Only full runs are cached: their budget never
                     // tripped, so the result is budget-independent.
+                    let wanted = want_netlist.then(|| blif.clone());
                     self.cache.insert(
                         pending.key,
                         CacheEntry {
                             circuit,
                             report: report.clone(),
-                            blif: blif.clone(),
+                            blif,
                         },
                     );
-                }
-                let blif = pending.spec.want_netlist.then_some(blif);
+                    wanted
+                };
                 let event = if degraded {
                     Event::Degraded {
                         id: id.to_string(),
@@ -1267,7 +1270,10 @@ fn emit(out: &Output, event: &Event) {
 /// connects to it right after shutting down, so the loop exits on the
 /// first accept that returns after shutdown. Finished connection
 /// threads are joined as new connections arrive: the handle list holds
-/// only live connections.
+/// only live connections. Each handle is kept beside a clone of its
+/// stream; once the loop ends, the streams of the threads still running
+/// are shut down before the threads are joined, so a client idling on an
+/// open connection cannot keep a drained gateway alive.
 pub(crate) fn accept_loop(
     listener: &TcpListener,
     gw: &Arc<Gateway>,
@@ -1282,23 +1288,39 @@ pub(crate) fn accept_loop(
     }
     lock(&gw.listeners).push(addr);
     let handler = Arc::new(handler);
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     while !gw.is_shut_down() {
         let (stream, _addr) = listener.accept()?;
         if gw.is_shut_down() {
             break;
         }
-        let panicked = reap_finished(&mut conns);
+        let panicked = conns
+            .extract_if(.., |(thread, _)| thread.is_finished())
+            .map(|(thread, _)| thread.join())
+            .filter(Result::is_err)
+            .count();
         if panicked > 0 {
             eprintln!("gateway: {panicked} finished connection thread(s) had panicked");
         }
+        // Without a clone to shut it down by, the connection could
+        // outlive the gateway: refuse it.
+        let Ok(closer) = stream.try_clone() else {
+            continue;
+        };
         let _ = stream.set_nodelay(true);
         let gw = Arc::clone(gw);
         let handler = Arc::clone(&handler);
-        conns.push(std::thread::spawn(move || handler(&gw, stream)));
+        conns.push((std::thread::spawn(move || handler(&gw, stream)), closer));
     }
-    for c in conns {
-        let _ = c.join();
+    // A connection thread blocks reading its socket until the peer
+    // closes it; shutting the socket down ends that read.
+    for (thread, closer) in &conns {
+        if !thread.is_finished() {
+            let _ = closer.shutdown(std::net::Shutdown::Both);
+        }
+    }
+    for (thread, _) in conns {
+        let _ = thread.join();
     }
     Ok(())
 }

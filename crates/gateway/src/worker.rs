@@ -219,11 +219,11 @@ fn serve_link(reader: impl BufRead, out: Output, opts: &WorkerOptions) -> Result
     Ok(())
 }
 
-/// Joins the threads that have finished and drops their handles, so a
-/// long-lived worker (job threads) or accept loop (connection threads)
-/// keeps handles, and on glibc stacks, only for the threads still
-/// running. Returns how many of the joined threads panicked.
-pub(crate) fn reap_finished(threads: &mut Vec<JoinHandle<()>>) -> usize {
+/// Joins the job threads that have finished and drops their handles, so
+/// a long-lived worker keeps handles, and on glibc stacks, only for the
+/// threads still running. Returns how many of the joined threads
+/// panicked.
+fn reap_finished(threads: &mut Vec<JoinHandle<()>>) -> usize {
     threads
         .extract_if(.., |thread| thread.is_finished())
         .map(JoinHandle::join)

@@ -478,3 +478,48 @@ fn batch_cancel_right_behind_its_submit_ends_cancelled() {
         assert_eq!(terminals, ["cancelled"], "round {round}: {lines:#?}");
     }
 }
+
+/// A drain closes every client connection: a connection thread blocks
+/// reading its socket, so one idle client would otherwise keep
+/// `gdo-served` up after `drained`.
+#[test]
+fn drain_closes_idle_client_connections() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (gw, workers) = launch(served(), 1, &WorkerOptions::default());
+    let (returned, serving) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let result = gw.serve_clients(&listener);
+        let _ = returned.send(());
+        result
+    });
+
+    // The idle client: one status round trip proves its connection is
+    // served, then it sends nothing more.
+    let mut idle = std::net::TcpStream::connect(addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    idle.write_all(b"{\"op\":\"status\"}\n").unwrap();
+    let mut idle = BufReader::new(idle);
+    let mut line = String::new();
+    idle.read_line(&mut line).unwrap();
+    assert_eq!(event_kind(line.trim_end()), "status", "{line}");
+
+    let mut drainer = Client::connect(addr);
+    drainer.send(r#"{"op":"drain"}"#);
+    drainer.recv_until_drained();
+    serving
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve_clients must return within 2 s of the drain");
+    server.join().unwrap().unwrap();
+    line.clear();
+    assert_eq!(
+        idle.read_line(&mut line).unwrap(),
+        0,
+        "the idle client must read EOF, got {line:?}"
+    );
+    common::join(workers);
+}

@@ -414,11 +414,10 @@ fn parse_csv_u32(tok: &str) -> Result<Vec<u32>, SnapshotError> {
 // Netlist codec (shared by run and partition snapshots)
 // ---------------------------------------------------------------------
 
-/// Appends the exact raw state of `nl` to `out` (see
-/// [`netlist::RawNetlist`] for what "exact" includes).
-pub fn encode_netlist(nl: &Netlist, out: &mut String) {
+/// Appends the exact raw state of a netlist ([`Netlist::to_raw`]) to
+/// `out` (see [`RawNetlist`] for what "exact" includes).
+pub fn encode_netlist(raw: &RawNetlist, out: &mut String) {
     use fmt::Write;
-    let raw = nl.to_raw();
     let _ = writeln!(out, "nname {}", escape(&raw.name));
     let _ = writeln!(out, "cells {}", raw.cells.len());
     for slot in &raw.cells {
@@ -582,7 +581,7 @@ pub fn decode_netlist(r: &mut PayloadReader<'_>) -> Result<Netlist, SnapshotErro
 #[must_use]
 pub fn netlist_digest(nl: &Netlist) -> u64 {
     let mut s = String::new();
-    encode_netlist(nl, &mut s);
+    encode_netlist(&nl.to_raw(), &mut s);
     fnv1a64(s.as_bytes())
 }
 
@@ -974,8 +973,7 @@ impl RunSnapshot {
         for entry in &self.journal {
             let _ = writeln!(out, "j {}", escape(entry));
         }
-        let nl = Netlist::from_raw(&self.netlist).expect("snapshot raw netlist is consistent");
-        encode_netlist(&nl, &mut out);
+        encode_netlist(&self.netlist, &mut out);
         out
     }
 

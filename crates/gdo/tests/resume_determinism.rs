@@ -138,7 +138,7 @@ proptest! {
     fn netlist_codec_round_trips_exactly(seed in 0u64..1_000_000, gates in 8usize..120) {
         let nl = arbitrary_netlist(seed, gates);
         let mut encoded = String::new();
-        encode_netlist(&nl, &mut encoded);
+        encode_netlist(&nl.to_raw(), &mut encoded);
         let back = decode_netlist(&mut PayloadReader::new(&encoded)).unwrap();
         prop_assert_eq!(netlist_digest(&nl), netlist_digest(&back));
         prop_assert_eq!(

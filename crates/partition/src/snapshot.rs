@@ -116,7 +116,7 @@ impl PartitionSnapshot {
             ));
             encode_stats(&rd.stats, &mut out);
             if let Some(nl) = &rd.optimized {
-                encode_netlist(nl, &mut out);
+                encode_netlist(&nl.to_raw(), &mut out);
             }
         }
         out

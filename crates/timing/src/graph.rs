@@ -2,18 +2,23 @@
 //!
 //! [`TimingGraph`] owns per-signal arrival times, path tails (the longest
 //! delay from a signal to any primary output) and cached pin delays. It is
-//! built once with [`TimingGraph::from_scratch`] and then kept in sync
-//! with netlist edits by [`TimingGraph::update`], which consumes the
-//! [`EditDelta`] journal of `netlist` and re-propagates timing only
-//! through the cones reachable from the touched signals:
+//! built once with [`TimingGraph::from_scratch`] (or
+//! [`TimingGraph::from_scratch_region`] under boundary constraints) and
+//! then kept in sync with netlist edits by [`TimingGraph::update`], which
+//! consumes the [`EditDelta`] journal of `netlist` and re-propagates
+//! timing only through the cones reachable from the touched signals:
 //!
 //! * **levels** are repaired first with a chaotic worklist (the netlist is
 //!   a DAG, so the iteration reaches the unique fixpoint);
 //! * **arrivals** flow forward through the transitive fanout of dirty
-//!   signals, in level order, stopping as soon as a recomputed arrival
-//!   moves by no more than the propagation cutoff;
+//!   signals, in level order, stopping where a recomputed arrival is
+//!   unchanged;
 //! * **tails** flow backward through the transitive fanin of signals whose
-//!   fanout structure or pin delays changed, again with early cutoff.
+//!   fanout structure or pin delays changed, again stopping where a tail
+//!   is unchanged.
+//!
+//! Every update is exact: it leaves the same bits a from-scratch analysis
+//! of the edited netlist computes.
 //!
 //! Required times are *derived*: `required(s) = po_req − tail(s)`. Storing
 //! tails instead of absolute required times is what makes the engine
@@ -80,25 +85,18 @@ pub struct TimingGraph {
     po_drivers: Vec<SignalId>,
     circuit_delay: f64,
     eps: f64,
-    /// Effective required time at every primary output.
+    /// The base output required time that `required` subtracts tails
+    /// from: the circuit delay, or the largest per-output requirement.
     po_req: f64,
-    explicit_po_req: Option<f64>,
-    /// Per-primary-output required times (indexed by PO position) for
-    /// region-constrained analysis; `None` keeps the scalar behaviour.
-    /// Takes precedence over `explicit_po_req`.
+    /// Per-primary-output required times (indexed by PO position); `None`
+    /// requires every output at the circuit delay.
     po_required_times: Option<Vec<f64>>,
     /// Backward-pass seed per PO index (`po_req − required(po_j)`).
     /// Empty without per-output constraints, meaning "seed 0 everywhere".
     po_seed: Vec<f64>,
-    /// Cached effective required time per `po_drivers` entry; empty
-    /// without per-output constraints (then every endpoint uses
-    /// `po_req`).
+    /// Cached effective required time per `po_drivers` entry.
     endpoint_req: Vec<f64>,
     input_arrivals: Option<Vec<f64>>,
-    /// Propagation cutoff: a recomputed value that moves by no more than
-    /// this stops the worklist. 0.0 (the default) reproduces a full
-    /// analysis bit for bit.
-    cutoff: f64,
 }
 
 impl TimingGraph {
@@ -114,75 +112,29 @@ impl TimingGraph {
         nl: &Netlist,
         model: &M,
     ) -> Result<TimingGraph, NetlistError> {
-        Self::from_scratch_constrained(nl, model, None, None)
+        Self::analyzed(nl, model, None, None)
     }
 
-    /// Builds the graph under explicit boundary constraints.
-    ///
+    /// Builds the graph under *per-output* boundary constraints.
     /// `input_arrivals[i]` is the arrival time of primary input `i`
-    /// (default 0). `po_required` is the required time at every primary
-    /// output; when `None`, the circuit delay is used, making the worst
-    /// paths exactly critical. With an explicit requirement, slacks can
-    /// be genuinely negative (the constraint is violated) or uniformly
-    /// positive (timing met with margin) — and
-    /// [`is_critical`](Self::is_critical) then reflects the *constraint*,
-    /// not the topological worst path. Both constraints persist across
-    /// [`update`](Self::update) calls.
+    /// (default 0); `po_required[j]` is the required time of primary
+    /// output `j`. An extracted partition region passes the parent
+    /// arrival of the frozen boundary signal feeding each input and the
+    /// parent required time of the one each output drives, so downstream
+    /// path tails outside the region keep shaping criticality inside it;
+    /// `gdo-opt --require T` passes `T` for every output.
     ///
-    /// # Errors
-    ///
-    /// [`NetlistError::CycleDetected`] if `nl` is not a DAG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_arrivals` is given with the wrong length.
-    pub fn from_scratch_constrained<M: DelayModel>(
-        nl: &Netlist,
-        model: &M,
-        input_arrivals: Option<&[f64]>,
-        po_required: Option<f64>,
-    ) -> Result<TimingGraph, NetlistError> {
-        if let Some(ia) = input_arrivals {
-            assert_eq!(
-                ia.len(),
-                nl.inputs().len(),
-                "one arrival time per primary input"
-            );
-        }
-        telemetry::counter_add("sta.full_recomputes", 1);
-        let mut tg = TimingGraph {
-            arrival: Vec::new(),
-            tail: Vec::new(),
-            level: Vec::new(),
-            delays: Vec::new(),
-            po_drivers: Vec::new(),
-            circuit_delay: 0.0,
-            eps: REL_EPS,
-            po_req: 0.0,
-            explicit_po_req: po_required,
-            po_required_times: None,
-            po_seed: Vec::new(),
-            endpoint_req: Vec::new(),
-            input_arrivals: input_arrivals.map(<[f64]>::to_vec),
-            cutoff: 0.0,
-        };
-        tg.analyze_full(nl, model)?;
-        Ok(tg)
-    }
-
-    /// Builds the graph under *per-output* boundary constraints — the
-    /// timing view of one extracted partition region. `input_arrivals[i]`
-    /// is the arrival time of primary input `i` (the parent arrival of
-    /// the frozen boundary signal feeding it); `po_required[j]` is the
-    /// required time of primary output `j` (the parent required time of
-    /// the frozen boundary signal it drives, so downstream path tails
-    /// outside the region keep shaping criticality inside it).
+    /// Under explicit requirements, slacks can be genuinely negative (a
+    /// constraint is violated) or uniformly positive (timing met with
+    /// margin), and [`is_critical`](Self::is_critical) then reflects the
+    /// *constraint*, not the topological worst path.
     ///
     /// The per-output requirements are folded into the shared backward
     /// pass by seeding output `j`'s tail with `max_k(po_required[k]) −
     /// po_required[j]`, so `required(s)` is `min_j(po_required[j] −
     /// delay(s → j))` and incremental [`update`](Self::update)s keep
-    /// working unchanged. Constraints persist across updates.
+    /// working unchanged. Constraints persist across updates; an output
+    /// added after construction is required at `max_k(po_required[k])`.
     ///
     /// # Errors
     ///
@@ -214,6 +166,16 @@ impl TimingGraph {
             po_required.iter().all(|r| r.is_finite()),
             "required times must be finite"
         );
+        Self::analyzed(nl, model, input_arrivals, Some(po_required.to_vec()))
+    }
+
+    /// The full analysis behind both constructors.
+    fn analyzed<M: DelayModel>(
+        nl: &Netlist,
+        model: &M,
+        input_arrivals: Option<&[f64]>,
+        po_required_times: Option<Vec<f64>>,
+    ) -> Result<TimingGraph, NetlistError> {
         telemetry::counter_add("sta.full_recomputes", 1);
         let mut tg = TimingGraph {
             arrival: Vec::new(),
@@ -224,59 +186,18 @@ impl TimingGraph {
             circuit_delay: 0.0,
             eps: REL_EPS,
             po_req: 0.0,
-            explicit_po_req: None,
-            po_required_times: Some(po_required.to_vec()),
+            po_required_times,
             po_seed: Vec::new(),
             endpoint_req: Vec::new(),
             input_arrivals: input_arrivals.map(<[f64]>::to_vec),
-            cutoff: 0.0,
         };
         tg.analyze_full(nl, model)?;
         Ok(tg)
     }
 
-    /// Sets the propagation cutoff used by [`update`](Self::update):
-    /// recomputed arrivals/tails that move by no more than `cutoff` stop
-    /// the worklist early. The default of 0.0 makes incremental updates
-    /// agree with a from-scratch analysis exactly; a small positive
-    /// cutoff trades bounded staleness (at most `depth × cutoff`) for
-    /// fewer propagations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cutoff` is negative or not finite.
-    #[must_use]
-    pub fn with_cutoff(mut self, cutoff: f64) -> Self {
-        assert!(
-            cutoff.is_finite() && cutoff >= 0.0,
-            "cutoff must be non-negative"
-        );
-        self.cutoff = cutoff;
-        self
-    }
-
-    /// The active propagation cutoff.
-    #[must_use]
-    pub fn cutoff(&self) -> f64 {
-        self.cutoff
-    }
-
-    /// Discards the incremental state and re-analyzes from scratch,
-    /// keeping the boundary constraints and cutoff. The forced-rebuild
-    /// escape hatch for callers that edited the netlist without a
-    /// journal.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::CycleDetected`] if `nl` is not a DAG.
-    pub fn rebuild<M: DelayModel>(&mut self, nl: &Netlist, model: &M) -> Result<(), NetlistError> {
-        telemetry::counter_add("sta.full_recomputes", 1);
-        self.analyze_full(nl, model)
-    }
-
-    /// The full forward/backward analysis shared by
-    /// [`from_scratch`](Self::from_scratch), [`rebuild`](Self::rebuild)
-    /// and the debug cross-check.
+    /// The full forward/backward analysis shared by the constructors,
+    /// the debug cross-check and
+    /// [`deviation_from_scratch`](Self::deviation_from_scratch).
     fn analyze_full<M: DelayModel>(&mut self, nl: &Netlist, model: &M) -> Result<(), NetlistError> {
         let order = nl.topo_order()?;
         let cap = nl.capacity();
@@ -332,18 +253,15 @@ impl TimingGraph {
         t
     }
 
-    /// The backward-pass tail seed of primary output `j`: 0 without
-    /// per-output constraints, `po_req − required(po_j)` with them.
+    /// The backward-pass tail seed of primary output `j`:
+    /// `po_req − required(po_j)`, which is 0 without per-output
+    /// constraints and for an output added after construction.
     fn po_seed_of(&self, j: u32) -> f64 {
-        if self.po_seed.is_empty() {
-            0.0
-        } else {
-            self.po_seed.get(j as usize).copied().unwrap_or(0.0)
-        }
+        self.po_seed.get(j as usize).copied().unwrap_or(0.0)
     }
 
     /// Re-derives the cached endpoint set, the circuit delay, eps and the
-    /// effective output required time from the current arrivals.
+    /// output required times from the current arrivals.
     fn refresh_endpoints(&mut self, nl: &Netlist) {
         self.po_drivers.clear();
         let mut seen = SignalSet::with_capacity(nl.capacity());
@@ -358,6 +276,7 @@ impl TimingGraph {
             .map(|d| self.arrival[d.index()])
             .fold(0.0_f64, f64::max);
         self.eps = self.circuit_delay.abs().max(1.0) * REL_EPS;
+        self.endpoint_req.clear();
         match &self.po_required_times {
             Some(req) => {
                 // Base required = the latest per-output requirement;
@@ -366,23 +285,18 @@ impl TimingGraph {
                 let base = req.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 self.po_req = base;
                 self.po_seed = req.iter().map(|&r| base - r).collect();
-                self.endpoint_req = self
-                    .po_drivers
-                    .iter()
-                    .map(|&d| {
-                        nl.outputs()
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, po)| po.driver() == d)
-                            .map(|(j, _)| req.get(j).copied().unwrap_or(base))
-                            .fold(f64::INFINITY, f64::min)
-                    })
-                    .collect();
+                self.endpoint_req.extend(self.po_drivers.iter().map(|&d| {
+                    nl.outputs()
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, po)| po.driver() == d)
+                        .map(|(j, _)| req.get(j).copied().unwrap_or(base))
+                        .fold(f64::INFINITY, f64::min)
+                }));
             }
             None => {
-                self.po_req = self.explicit_po_req.unwrap_or(self.circuit_delay);
-                self.po_seed.clear();
-                self.endpoint_req.clear();
+                self.po_req = self.circuit_delay;
+                self.endpoint_req.resize(self.po_drivers.len(), self.po_req);
             }
         }
     }
@@ -489,8 +403,7 @@ impl TimingGraph {
     }
 
     /// Forward pass: levelized worklist over the transitive fanout of the
-    /// dirty signals; propagation stops where arrivals move by no more
-    /// than the cutoff.
+    /// dirty signals; propagation stops where an arrival is unchanged.
     fn propagate_arrivals(&mut self, nl: &Netlist, dirty: &[SignalId]) {
         let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
         let mut queued = SignalSet::with_capacity(nl.capacity());
@@ -519,14 +432,10 @@ impl TimingGraph {
                     .map(|(pin, f)| self.arrival[f.index()] + delays[pin])
                     .fold(0.0_f64, f64::max)
             };
-            let old = self.arrival[idx];
-            if old == at || (at - old).abs() <= self.cutoff {
-                // Still store the exact value (the cutoff bounds what we
-                // refuse to *propagate*, not what we remember).
-                self.arrival[idx] = at;
+            let old = std::mem::replace(&mut self.arrival[idx], at);
+            if old == at {
                 continue;
             }
-            self.arrival[idx] = at;
             for fo in nl.fanouts(s) {
                 if let Fanout::Gate { cell, .. } = *fo {
                     if queued.insert(cell) {
@@ -561,12 +470,10 @@ impl TimingGraph {
         while let Some((_, idx)) = heap.pop() {
             let s = SignalId::from_index(idx);
             let t = self.tail_of(nl, s);
-            let old = self.tail[idx];
-            if old == t || (t - old).abs() <= self.cutoff {
-                self.tail[idx] = t;
+            let old = std::mem::replace(&mut self.tail[idx], t);
+            if old == t {
                 continue;
             }
-            self.tail[idx] = t;
             if !nl.kind(s).is_source() {
                 for &f in nl.fanins(s) {
                     if queued.insert(f) {
@@ -577,14 +484,11 @@ impl TimingGraph {
         }
     }
 
-    /// In debug builds every exact-mode update is cross-checked against a
+    /// In debug builds every update is cross-checked against a
     /// from-scratch analysis, so any divergence of the incremental engine
     /// fails loudly in tests instead of silently mistiming rewrites.
     #[cfg(debug_assertions)]
     fn debug_cross_check<M: DelayModel>(&self, nl: &Netlist, model: &M) {
-        if self.cutoff != 0.0 {
-            return; // approximate mode is allowed to drift by design
-        }
         let mut full = self.clone();
         full.analyze_full(nl, model)
             .expect("netlist edits keep the DAG acyclic");
@@ -632,18 +536,11 @@ impl TimingGraph {
     /// netlists without outputs.
     #[must_use]
     pub fn worst_slack(&self) -> f64 {
-        if self.endpoint_req.is_empty() {
-            self.po_drivers
-                .iter()
-                .map(|d| self.po_req - self.arrival[d.index()])
-                .fold(f64::INFINITY, f64::min)
-        } else {
-            self.po_drivers
-                .iter()
-                .zip(&self.endpoint_req)
-                .map(|(d, &r)| r - self.arrival[d.index()])
-                .fold(f64::INFINITY, f64::min)
-        }
+        self.po_drivers
+            .iter()
+            .zip(&self.endpoint_req)
+            .map(|(d, &r)| r - self.arrival[d.index()])
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Arrival time of a signal.
@@ -829,16 +726,17 @@ mod tests {
     fn constrained_analysis_shifts_slack() {
         let (nl, [a, b, g1, g2]) = chain();
         // Tight requirement: everything is late.
-        let tg = TimingGraph::from_scratch_constrained(&nl, &UnitDelay, None, Some(1.0)).unwrap();
+        let tg = TimingGraph::from_scratch_region(&nl, &UnitDelay, None, &[1.0]).unwrap();
         assert!(tg.worst_slack() < 0.0);
         assert!(tg.slack(g1) < 0.0);
         // Loose requirement: nothing is critical.
-        let tg = TimingGraph::from_scratch_constrained(&nl, &UnitDelay, None, Some(10.0)).unwrap();
+        let tg = TimingGraph::from_scratch_region(&nl, &UnitDelay, None, &[10.0]).unwrap();
         assert!(tg.worst_slack() > 0.0);
         assert!(!tg.is_critical(g2));
-        // Input arrival shifts downstream arrivals.
-        let tg = TimingGraph::from_scratch_constrained(&nl, &UnitDelay, Some(&[5.0, 0.0]), None)
-            .unwrap();
+        // Input arrival shifts downstream arrivals; the output is
+        // required at the resulting circuit delay.
+        let tg =
+            TimingGraph::from_scratch_region(&nl, &UnitDelay, Some(&[5.0, 0.0]), &[7.0]).unwrap();
         assert_eq!(tg.arrival(a), 5.0);
         assert_eq!(tg.arrival(g1), 6.0);
         assert_eq!(tg.circuit_delay(), 7.0);
@@ -848,12 +746,19 @@ mod tests {
 
     #[test]
     fn default_analysis_equals_unconstrained() {
-        let (nl, _) = chain();
-        let a = TimingGraph::from_scratch(&nl, &UnitDelay).unwrap();
-        let b = TimingGraph::from_scratch_constrained(&nl, &UnitDelay, None, None).unwrap();
-        for s in nl.signals() {
-            assert_eq!(a.arrival(s), b.arrival(s));
-            assert_eq!(a.required(s), b.required(s));
+        // Requiring every output at the circuit delay is the default
+        // analysis, bit for bit.
+        let (chain, _) = chain();
+        for nl in [chain, workloads::datapath(8)] {
+            let a = TimingGraph::from_scratch(&nl, &UnitDelay).unwrap();
+            let req = vec![a.circuit_delay(); nl.outputs().len()];
+            let b = TimingGraph::from_scratch_region(&nl, &UnitDelay, None, &req).unwrap();
+            assert_eq!(a.worst_slack().to_bits(), b.worst_slack().to_bits());
+            for s in nl.signals() {
+                assert_eq!(a.arrival(s).to_bits(), b.arrival(s).to_bits());
+                assert_eq!(a.required(s).to_bits(), b.required(s).to_bits());
+                assert_eq!(a.is_critical(s), b.is_critical(s));
+            }
         }
     }
 
@@ -1023,8 +928,7 @@ mod tests {
     fn constrained_update_keeps_boundary_conditions() {
         let (mut nl, [_, b, _, g2]) = chain();
         let mut tg =
-            TimingGraph::from_scratch_constrained(&nl, &UnitDelay, Some(&[2.0, 0.0]), Some(6.0))
-                .unwrap();
+            TimingGraph::from_scratch_region(&nl, &UnitDelay, Some(&[2.0, 0.0]), &[6.0]).unwrap();
         assert_eq!(tg.circuit_delay(), 4.0);
         nl.record_edits();
         let g3 = nl.add_gate(GateKind::Not, &[g2]).unwrap();
@@ -1032,7 +936,8 @@ mod tests {
         let delta = nl.take_delta();
         tg.update(&nl, &UnitDelay, &delta);
         assert_eq!(tg.circuit_delay(), 5.0);
-        // Explicit requirement persists: slack measured against 6.0.
+        // The requirement persists, and `z`, added after construction,
+        // falls back to it: slack measured against 6.0.
         assert!((tg.worst_slack() - 1.0).abs() < 1e-9);
         assert!(tg.slack(b) > 1.0);
     }
@@ -1064,40 +969,6 @@ mod tests {
         tg.update(&nl, &UnitDelay, &EditDelta::new());
         assert_eq!(tg.circuit_delay(), before.circuit_delay());
         assert_eq!(tg.deviation_from_scratch(&nl, &UnitDelay).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn nonzero_cutoff_bounds_staleness() {
-        // With a coarse cutoff, sub-cutoff ripples stop propagating; the
-        // drift stays bounded by depth x cutoff.
-        use crate::LibDelay;
-        use library::standard_library;
-        let lib = standard_library();
-        let model = LibDelay::new(&lib);
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let mut prev = nl.add_gate(GateKind::Not, &[a]).unwrap();
-        let mut gates = vec![prev];
-        for _ in 0..6 {
-            prev = nl.add_gate(GateKind::Not, &[prev]).unwrap();
-            gates.push(prev);
-        }
-        nl.add_output("y", prev);
-        let cutoff = 0.05;
-        let mut tg = TimingGraph::from_scratch(&nl, &model)
-            .unwrap()
-            .with_cutoff(cutoff);
-        // Rebind the first inverter to a slightly different cell.
-        nl.record_edits();
-        nl.set_lib(gates[0], Some(lib.find("inv4").unwrap().tag()))
-            .unwrap();
-        let delta = nl.take_delta();
-        tg.update(&nl, &model, &delta);
-        let dev = tg.deviation_from_scratch(&nl, &model).unwrap();
-        assert!(
-            dev <= cutoff * (gates.len() + 1) as f64,
-            "drift {dev} exceeds the cutoff bound"
-        );
     }
 
     #[test]
@@ -1145,20 +1016,5 @@ mod tests {
         assert_eq!(tg.arrival(h), 4.0);
         assert_eq!(tg.required(h), 4.0);
         assert_eq!(tg.worst_slack(), 0.0);
-    }
-
-    #[test]
-    fn rebuild_resets_to_exact() {
-        let (mut nl, _) = chain();
-        let mut tg = TimingGraph::from_scratch(&nl, &UnitDelay).unwrap();
-        // Edit *without* a journal: the graph goes stale...
-        let g = nl
-            .add_gate(GateKind::Not, &[nl.outputs()[0].driver()])
-            .unwrap();
-        nl.add_output("z", g);
-        // ...and rebuild is the escape hatch.
-        tg.rebuild(&nl, &UnitDelay).unwrap();
-        assert_eq!(tg.circuit_delay(), 3.0);
-        assert_eq!(tg.deviation_from_scratch(&nl, &UnitDelay).unwrap(), 0.0);
     }
 }

@@ -6,13 +6,17 @@
 //!
 //! * arrival times, required times and slack per signal, held in a
 //!   persistent [`TimingGraph`] that follows netlist edits incrementally
-//!   via the `netlist` crate's [`EditDelta`](netlist::EditDelta) journal;
+//!   via the `netlist` crate's [`EditDelta`](netlist::EditDelta) journal
+//!   and always agrees bit for bit with a from-scratch analysis;
+//! * the same analysis under boundary constraints (input arrival times,
+//!   per-output required times), for partition regions and
+//!   `gdo-opt --require`;
 //! * the circuit delay (the "delay" column of Tables 1 and 2);
 //! * the set of *critical gates* (slack ≈ 0), which is where the paper
 //!   restricts its `a`-signals;
 //! * **NCP**, the number of critical paths through each signal — the
 //!   primary ranking key for substitutions (Section 5);
-//! * an explicit worst path for reporting.
+//! * one explicit worst path for reporting.
 //!
 //! # Example
 //!
@@ -46,9 +50,7 @@
 mod graph;
 mod model;
 mod ncp;
-mod paths;
 
 pub use graph::TimingGraph;
 pub use model::{DelayModel, LibDelay, LoadDelay, UnitDelay};
 pub use ncp::CriticalPaths;
-pub use paths::{worst_paths, TimingPath};

@@ -13,9 +13,8 @@ use proptest::prelude::*;
 use timing::{TimingGraph, UnitDelay};
 use workloads::datapath;
 
-/// The tightened tolerance: with the default cutoff of 0.0, incremental
-/// propagation is exact, so the deviation must be zero to within noise
-/// far below any real gate delay.
+/// The tightened tolerance: incremental propagation is exact, so the
+/// deviation must be zero to within noise far below any real gate delay.
 const TIGHT_EPS: f64 = 1e-12;
 
 /// One random edit, encoded with indices resolved against the live
@@ -117,7 +116,7 @@ fn check_incremental_matches_full(mut nl: Netlist, edits: &[Edit]) -> Result<(),
         "deviation {dev} exceeds eps {}",
         fresh.eps()
     );
-    // Tightened tolerance: cutoff 0.0 propagation is exact.
+    // Tightened tolerance: propagation is exact.
     prop_assert!(dev <= TIGHT_EPS, "deviation {dev} exceeds {TIGHT_EPS}");
     prop_assert!((tg.circuit_delay() - fresh.circuit_delay()).abs() <= TIGHT_EPS);
     prop_assert!((tg.worst_slack() - fresh.worst_slack()).abs() <= TIGHT_EPS);
@@ -187,37 +186,4 @@ proptest! {
     ) {
         check_incremental_matches_full(datapath(96), &edits)?;
     }
-}
-
-/// A non-zero cutoff trades exactness for earlier worklist termination;
-/// the accumulated deviation must stay bounded and a forced
-/// [`TimingGraph::rebuild`] must restore exactness.
-#[test]
-fn cutoff_bounds_deviation_and_rebuild_restores_exactness() {
-    let model = UnitDelay;
-    let mut nl = datapath(8);
-    let cutoff = 1e-6;
-    let mut tg = TimingGraph::from_scratch(&nl, &model)
-        .expect("acyclic")
-        .with_cutoff(cutoff);
-    nl.record_edits();
-    let gates: Vec<SignalId> = nl.gates().collect();
-    let mut outputs_added = 0usize;
-    for (i, &g) in gates.iter().enumerate().take(24) {
-        let e = Edit::InsertGate {
-            kind: i as u8,
-            fanins: vec![g.index(), i],
-        };
-        apply_edit(&mut nl, &e, &mut outputs_added);
-        let delta = nl.take_delta();
-        tg.update(&nl, &model, &delta);
-    }
-    let dev = tg.deviation_from_scratch(&nl, &model).expect("acyclic");
-    assert!(dev.is_finite());
-    // Unit delays are integers, so any deviation a 1e-6 cutoff can leave
-    // behind is far below one gate delay.
-    assert!(dev <= 1e-3, "cutoff deviation {dev} out of bounds");
-    tg.rebuild(&nl, &model).expect("acyclic");
-    let dev = tg.deviation_from_scratch(&nl, &model).expect("acyclic");
-    assert!(dev == 0.0, "rebuild must restore exactness, got {dev}");
 }
