@@ -2,13 +2,13 @@
 //! the read → map → optimize → write pipeline, and reporting. Split into
 //! a library so the pipeline is unit-testable without spawning processes.
 
-use gdo::{
-    Budget, EngineId, GdoConfig, GdoStats, OptimizeRequest, Pipeline, ProverKind, VerifyPolicy,
-};
+use gdo::snapshot::peek_remainders;
+use gdo::{Budget, EngineId, GdoConfig, GdoStats, ProverKind, VerifyPolicy};
 use library::{parse_genlib, standard_library, Library, MapGoal, Mapper};
 use netlist::Netlist;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 use timing::{LibDelay, TimingGraph};
 
 /// Errors surfaced to the command line.
@@ -54,9 +54,9 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Maps a pipeline error to the documented process exit code:
-/// `2` usage/config, `3` parse or invalid netlist, `5` file IO,
-/// `6` unwritable output, `1` internal optimizer/verification failures.
+/// Maps a pipeline error to the documented process exit code: `2`
+/// usage/config, `3` parse, invalid netlist or unusable resume snapshot,
+/// `5` file IO, `6` unwritable output, `1` internal failures.
 /// (Exit `0` covers success *and* budget exhaustion with a valid output;
 /// exit `4` — degraded result after a verification rollback — is decided
 /// by the caller from [`RunOutcome`], not from an error.)
@@ -304,7 +304,7 @@ impl Options {
                     let ms: u64 = need("--time-budget-ms")?
                         .parse()
                         .map_err(|_| CliError::Usage("--time-budget-ms needs an integer".into()))?;
-                    cfg = cfg.deadline(std::time::Duration::from_millis(ms));
+                    cfg = cfg.deadline(Duration::from_millis(ms));
                 }
                 "--work-limit" => {
                     cfg =
@@ -571,90 +571,44 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
         telemetry::enable();
     }
 
-    let partitioned = options.partitions > 0 || options.region_size.is_some();
-    // Crash-safe snapshots: the cadence spec goes to whichever driver
-    // runs; a resume snapshot rebases the *remaining* budget recorded at
-    // suspension (the original deadline was absolute and has expired),
-    // unless explicit budget flags override it.
-    let ckpt_spec = options
-        .checkpoint_out
-        .as_ref()
-        .map(|p| gdo::CheckpointSpec::new(p.clone()).every(options.checkpoint_every));
-    let explicit_time_ms = options
-        .cfg
-        .deadline
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
-    let resume_failed = |path: &Path, e: gdo::SnapshotError| {
-        telemetry::counter_add("snapshot.rejected", 1);
-        CliError::Parse(format!("cannot resume from {}: {e}", path.display()))
-    };
-    let (stats, pstats) = if partitioned {
+    // Regions follow the flags, their schedule seeded by `--seed`. A
+    // resumed leg keeps the snapshot's remaining budget (its deadline was
+    // absolute) unless budget flags are given; a snapshot that cannot be
+    // read is the run's to reject.
+    let regions = (options.partitions > 0 || options.region_size.is_some()).then(|| {
         let mut cluster = if options.partitions > 0 {
             partition::ClusterConfig::for_partitions(nl.stats().gates, options.partitions)
         } else {
             partition::ClusterConfig::default()
         };
-        if let Some(size) = options.region_size {
-            cluster.max_region_size = size;
-        }
+        cluster.max_region_size = options.region_size.unwrap_or(cluster.max_region_size);
         cluster.seed = options.cfg.seed;
-        let resume = match &options.resume_from {
-            Some(path) => {
-                Some(partition::PartitionSnapshot::read(path).map_err(|e| resume_failed(path, e))?)
-            }
-            None => None,
-        };
-        let budget = match &resume {
-            Some(snap) => gdo::snapshot::rebased_budget(
-                explicit_time_ms,
-                options.cfg.work_limit,
-                snap.time_remaining_ms,
-                snap.work_remaining,
-            ),
-            None => gdo::Budget::new(options.cfg.deadline, options.cfg.work_limit),
-        };
-        let popts = partition::PartitionOptions {
-            cluster,
-            threads: options.cfg.threads,
-            verify_regions: true,
-            engines: options.engines.clone(),
-            checkpoint: ckpt_spec,
-            resume_from: resume,
-        };
-        let ps = partition::optimize_partitioned(&lib, &options.cfg, &mut nl, &popts, &budget)
-            .map_err(|e| match e {
-                partition::PartitionError::Gdo(g) => CliError::Optimize(g),
-                partition::PartitionError::Netlist(n) => {
-                    CliError::Parse(format!("partitioning failed: {n}"))
-                }
-            })?;
-        (ps.gdo, Some(ps))
-    } else {
-        let resume = match &options.resume_from {
-            Some(path) => Some(gdo::RunSnapshot::read(path).map_err(|e| resume_failed(path, e))?),
-            None => None,
-        };
-        let budget = match &resume {
-            Some(snap) => gdo::snapshot::rebased_budget(
-                explicit_time_ms,
-                options.cfg.work_limit,
-                snap.time_remaining_ms,
-                snap.work_remaining,
-            ),
-            None => Budget::new(options.cfg.deadline, options.cfg.work_limit),
-        };
-        let mut req = OptimizeRequest::new(options.cfg.clone()).engines(options.engines.clone());
-        if let Some(spec) = ckpt_spec {
-            req = req.checkpoint(spec);
-        }
-        if let Some(snap) = resume {
-            req = req.resume_from(snap);
-        }
-        let s = Pipeline::new(&lib)
-            .run(&req, &mut nl, &budget)
-            .map_err(CliError::Optimize)?;
-        (s, None)
+        (cluster, options.cfg.threads)
+    });
+    let left = options.resume_from.as_deref().map(peek_remainders);
+    let (time_ms, work) = left.and_then(Result::ok).unwrap_or_default();
+    let budget = Budget::new(
+        options.cfg.deadline.or(time_ms.map(Duration::from_millis)),
+        options.cfg.work_limit.or(work),
+    );
+    let plan = partition::RunPlan {
+        cfg: options.cfg.clone(),
+        engines: options.engines.clone(),
+        regions,
+        checkpoint: options
+            .checkpoint_out
+            .as_ref()
+            .map(|p| gdo::CheckpointSpec::new(p.clone()).every(options.checkpoint_every)),
+        resume: options.resume_from.clone(),
     };
+    let run_stats = partition::run(&lib, &plan, &mut nl, &budget).map_err(|e| match e {
+        rejected @ partition::RunError::Rejected { .. } => CliError::Parse(rejected.to_string()),
+        partition::RunError::Failed(partition::PartitionError::Gdo(g)) => CliError::Optimize(g),
+        partition::RunError::Failed(partition::PartitionError::Netlist(n)) => {
+            CliError::Parse(format!("partitioning failed: {n}"))
+        }
+    })?;
+    let stats = *run_stats.gdo();
 
     if telemetry_on {
         // Flushes the NDJSON sink and stops probes; the collected
@@ -667,10 +621,7 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
         report
             .meta
             .insert("input".into(), options.input.display().to_string());
-        match &pstats {
-            Some(ps) => ps.merge_into_report(&mut report),
-            None => stats.merge_into_report(&mut report),
-        }
+        run_stats.merge_into_report(&mut report);
         std::fs::write(path, report.to_json()).map_err(|source| CliError::Io {
             path: path.clone(),
             source,
@@ -681,7 +632,7 @@ pub fn run(options: &Options) -> Result<RunOutcome, CliError> {
     }
 
     if !options.quiet {
-        if let Some(ps) = &pstats {
+        if let partition::RunStats::Regions(ps) = &run_stats {
             println!(
                 "partition: {} regions ({} boundary signals), {} rewrites stitched, \
                  {} quarantined, {} skipped",
@@ -1133,6 +1084,100 @@ mod tests {
         let json = std::fs::read_to_string(&report).unwrap();
         assert!(json.contains("partition.regions"), "{json}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs `gdo-opt` quietly on `input` with `args`.
+    fn run_args(input: &Path, args: &[&str]) -> Result<RunOutcome, CliError> {
+        let mut all = vec![input.to_str().unwrap(), "-q"];
+        all.extend_from_slice(args);
+        run(&opts(&all)?.expect("not --help"))
+    }
+
+    /// Interrupts a run of `layout` under `--work-limit leg1_limit`,
+    /// resumes it, and checks which snapshots the resumed leg refuses.
+    /// `other` is the other layout, for a snapshot of the other kind.
+    fn check_resume(tag: &str, layout: &[&str], other: &[&str], leg1_limit: &str) {
+        let dir = std::env::temp_dir().join(format!("gdo_cli_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("in.bench");
+        let subject = library::to_subject_graph(&workloads::datapath(8)).unwrap();
+        std::fs::write(&input, formats::write_bench(&subject).unwrap()).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let ckpt = path("leg1.ckpt");
+        let leg = |out: &str, args: &[&str]| {
+            let out = path(out);
+            let mut all = vec!["-o", out.as_str()];
+            all.extend_from_slice(layout);
+            all.extend_from_slice(args);
+            run_args(&input, &all).map(|_| std::fs::read(&out).unwrap())
+        };
+
+        let full = leg("full.blif", &[]).unwrap();
+        let leg1 = leg(
+            "leg1.blif",
+            &["--work-limit", leg1_limit, "--checkpoint-out", &ckpt],
+        )
+        .unwrap();
+        assert_ne!(leg1, full, "{tag}: the work limit must cut leg 1 short");
+        let resumed = leg(
+            "leg2.blif",
+            &["--work-limit", "100000000", "--resume-from", &ckpt],
+        )
+        .unwrap();
+        assert!(resumed == full, "{tag}: a resumed leg must finish the run");
+        // Without budget flags the resumed leg keeps the snapshot's
+        // remaining budget, which leg 1 used up.
+        let kept = leg("leg2n.blif", &["--resume-from", &ckpt]).unwrap();
+        assert!(kept == leg1, "{tag}: the snapshot's budget must apply");
+
+        let scratch = path("scratch.blif");
+        let refused = |input: &Path, what: &str, args: &[&str]| {
+            let mut all = vec!["-o", scratch.as_str()];
+            all.extend_from_slice(layout);
+            all.extend_from_slice(args);
+            match run_args(input, &all) {
+                Err(e) => {
+                    assert_eq!(exit_code(&e), 3, "{tag}, {what}: {e}");
+                    assert!(e.to_string().starts_with("cannot resume from"), "{e}");
+                }
+                Ok(_) => panic!("{tag}, {what}: the snapshot must be refused"),
+            }
+        };
+        refused(
+            &input,
+            "another seed",
+            &["--seed", "7", "--resume-from", &ckpt],
+        );
+        let other_input = dir.join("other.bench");
+        let subject = library::to_subject_graph(&workloads::datapath(6)).unwrap();
+        std::fs::write(&other_input, formats::write_bench(&subject).unwrap()).unwrap();
+        refused(&other_input, "another input", &["--resume-from", &ckpt]);
+        let corrupt = path("corrupt.ckpt");
+        let text = std::fs::read(&ckpt).unwrap();
+        std::fs::write(&corrupt, &text[..text.len() / 2]).unwrap();
+        refused(&input, "a corrupt snapshot", &["--resume-from", &corrupt]);
+        let other_kind = path("other-kind.ckpt");
+        let mut args = vec!["-o", &scratch, "--work-limit", "1"];
+        args.extend_from_slice(other);
+        args.extend_from_slice(&["--checkpoint-out", &other_kind]);
+        run_args(&input, &args).unwrap();
+        refused(&input, "the other kind", &["--resume-from", &other_kind]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn whole_run_resumes_byte_identically() {
+        check_resume("resume_whole", &[], &["--partitions", "4"], "30");
+    }
+
+    #[test]
+    fn partitioned_run_resumes_byte_identically() {
+        check_resume(
+            "resume_part",
+            &["--partitions", "4", "--threads", "2"],
+            &[],
+            "4",
+        );
     }
 
     #[test]

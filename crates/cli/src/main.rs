@@ -7,7 +7,7 @@
 //! 0  success (including budget expiry with a valid result)
 //! 1  internal error
 //! 2  usage
-//! 3  parse error or invalid input
+//! 3  parse error, invalid input, or a resume snapshot the run cannot use
 //! 4  degraded result after a verification rollback (0 with --allow-degraded)
 //! 5  file IO
 //! 6  unwritable output

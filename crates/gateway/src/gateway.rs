@@ -371,6 +371,16 @@ impl Gateway {
             return;
         }
 
+        // The id names the job's files (`<journal>/<id>.ckpt`).
+        if id.is_empty() || id == "." || id == ".." || id.contains(['/', '\\', '\0']) {
+            let rule = r#"not empty, "." or "..", and without '/', '\' or NUL"#;
+            reject(
+                format!("job id {id:?} must be one path component: {rule}"),
+                false,
+            );
+            return;
+        }
+
         // Duplicate ids: live jobs and finished ones both refuse.
         {
             let live = lock(&self.live_ids);

@@ -25,13 +25,12 @@ use crate::gateway::Gateway;
 use crate::link::{lock, output_from, send_line, Output};
 use gdo::Budget;
 use library::Library;
-use proto::{GatewayMsg, InputFormat, JobSource, SubmitRequest, WorkerMsg, WorkerResult};
+use proto::{GatewayMsg, SubmitRequest, WorkerMsg, WorkerResult};
 use serve::job::{run_job, JobOutcome, JobSpec};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -244,8 +243,8 @@ fn run_assignment(
     let id = wire.id.clone().unwrap_or_default();
     let want_progress = wire.want_progress;
     let panic_attempts = wire.panic_attempts.unwrap_or(0);
-    let (spec, temp) = match materialize(wire, input) {
-        Ok(t) => t,
+    let spec = match materialize(wire) {
+        Ok(spec) => spec,
         Err(error) => {
             send_line(
                 out,
@@ -269,16 +268,13 @@ fn run_assignment(
             if fault_inject && panic_attempts > 0 {
                 panic!("fault-inject: injected worker panic ({panic_attempts} to go)");
             }
-            run_job(lib, &spec, budget)
+            run_job(lib, &spec, input.as_ref(), budget)
         }));
         // The ticker sends its last delta and returns; the scope joins it
         // before the `result` line below is written.
         drop(stop);
         run
     });
-    if let Some(path) = temp {
-        let _ = std::fs::remove_file(path);
-    }
 
     let result = match run {
         Ok(Ok(done)) => match done.outcome {
@@ -298,38 +294,21 @@ fn run_assignment(
     send_line(out, &WorkerMsg::Result { id, result }.to_json());
 }
 
-/// Turns the wire spec into a runnable [`JobSpec`], writing a shipped
-/// netlist to a temp file so the worker needs no shared filesystem with
-/// the client. Returns the spec and the temp path to clean up.
-fn materialize(
-    wire: SubmitRequest,
-    input: Option<proto::ShippedInput>,
-) -> Result<(JobSpec, Option<PathBuf>), String> {
+/// Turns the wire spec into a runnable [`JobSpec`]. A shipped netlist
+/// travels beside it to [`run_job`], which parses the text in memory, so
+/// the worker needs no shared filesystem with the client.
+fn materialize(wire: SubmitRequest) -> Result<JobSpec, String> {
     let id = wire
         .id
         .clone()
         .ok_or_else(|| "assigned spec carries no id".to_string())?;
-    let (source, temp) = match input {
-        None => (wire.source, None),
-        Some(shipped) => {
-            let ext = match shipped.format {
-                InputFormat::Bench => "bench",
-                InputFormat::Blif => "blif",
-            };
-            let path =
-                std::env::temp_dir().join(format!("gdo_worker_{}_{id}.{ext}", std::process::id()));
-            std::fs::write(&path, &shipped.text)
-                .map_err(|e| format!("writing shipped input {}: {e}", path.display()))?;
-            (JobSource::File(path.clone()), Some(path))
-        }
-    };
     let engines = match &wire.engines {
         None => vec![gdo::EngineId::Gdo],
         Some(list) => gdo::EngineId::parse_list(list).map_err(|e| e.to_string())?,
     };
-    let spec = JobSpec {
+    Ok(JobSpec {
         id,
-        source,
+        source: wire.source,
         seed: wire.seed.unwrap_or(1995),
         vectors: wire.vectors,
         verify: wire.verify.unwrap_or(gdo::VerifyPolicy::Final),
@@ -337,22 +316,17 @@ fn materialize(
         partitions: wire.partitions.unwrap_or(0),
         checkpoint: wire.checkpoint,
         resume: wire.resume,
-    };
-    Ok((spec, temp))
+    })
 }
 
 /// The job's budget: remainders from a resumed snapshot take precedence
 /// over the spec's own deadline/work limit — a requeued or recovered
 /// job does not get its budget refreshed.
 fn job_budget(spec: &SubmitRequest) -> Budget {
-    let (snap_time_ms, snap_work) = spec
-        .resume
-        .as_ref()
-        .and_then(|p| gdo::snapshot::peek_remainders(p).ok())
-        .unwrap_or((None, None));
-    let time_ms = snap_time_ms.or(spec.deadline_ms);
-    let work = snap_work.or(spec.work_limit);
-    Budget::new(time_ms.map(Duration::from_millis), work)
+    let left = spec.resume.as_deref().map(gdo::snapshot::peek_remainders);
+    let (time_ms, work) = left.and_then(Result::ok).unwrap_or_default();
+    let deadline = time_ms.or(spec.deadline_ms).map(Duration::from_millis);
+    Budget::new(deadline, work.or(spec.work_limit))
 }
 
 /// Streams a running job's progress: every [`PROGRESS_TICK`], and once

@@ -628,6 +628,7 @@ fn concurrent_jobs_stream_only_their_own_work() {
                 checkpoint: None,
                 resume: None,
             },
+            None,
             &alone,
         )
         .unwrap();

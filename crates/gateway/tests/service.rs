@@ -1,8 +1,8 @@
 //! End-to-end tests of `gdo-served` — a gateway with in-process pull
 //! workers — over loopback TCP and in batch mode: admission and
 //! backpressure, the 50-job acceptance batch with mid-batch drain,
-//! reject policy, cancel-by-id, two-worker determinism, and the
-//! work-ceiling shed.
+//! reject policy, cancel-by-id, two-worker determinism, file jobs, the
+//! job-id rule, and the work-ceiling shed.
 
 mod common;
 
@@ -323,6 +323,106 @@ fn scrub_nondeterminism(report: &str) -> String {
         scrubbed = format!("{}{}", &scrubbed[..at], &scrubbed[value_from + end..]);
     }
     scrubbed
+}
+
+/// A file job ships its netlist text to the worker, which parses it in
+/// memory: the served report is the one `run_job` writes for the same
+/// file, apart from the job id and `cpu_seconds`.
+#[test]
+fn file_job_report_matches_run_job_on_the_same_file() {
+    let dir = std::env::temp_dir().join(format!("gdo_service_file_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("Z5xp1.bench");
+    let suite = workloads::lookup_circuit("Z5xp1").unwrap().build();
+    std::fs::write(&path, formats::write_bench(&suite).unwrap()).unwrap();
+
+    let out = run_batch(
+        served(),
+        1,
+        &format!(
+            r#"{{"op":"submit","id":"file-job","file":"{}","vectors":64,"verify":"off"}}"#,
+            path.display()
+        ),
+    );
+    let done = out
+        .lines()
+        .find(|l| event_kind(l) == "done")
+        .unwrap_or_else(|| panic!("no done event: {out}"));
+    let direct = serve::job::run_job(
+        &library::standard_library(),
+        &serve::JobSpec {
+            id: "direct".to_string(),
+            source: proto::JobSource::File(path),
+            seed: 1995,
+            vectors: Some(64),
+            verify: gdo::VerifyPolicy::Off,
+            engines: vec![gdo::EngineId::Gdo],
+            partitions: 0,
+            checkpoint: None,
+            resume: None,
+        },
+        None,
+        &gdo::Budget::unlimited(),
+    )
+    .unwrap();
+    assert_eq!(
+        scrub_nondeterminism(&extract_report(done)),
+        scrub_nondeterminism(&direct.report.to_json())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job id names the job's files, so admission refuses one that is not
+/// a single path component, naming the rule; a plain id runs.
+#[test]
+fn job_ids_must_be_one_path_component() {
+    let dir = std::env::temp_dir().join(format!("gdo_service_ids_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("Z5xp1.bench");
+    let suite = workloads::lookup_circuit("Z5xp1").unwrap().build();
+    std::fs::write(&path, formats::write_bench(&suite).unwrap()).unwrap();
+    let journal = dir.join("journal");
+    let cfg = GatewayConfig {
+        journal_dir: Some(journal.clone()),
+        ..served()
+    };
+    // As JSON string bodies: `team\\b` is a backslash, `\u0000` a NUL.
+    let bad = [
+        "team/a",
+        "../escape",
+        "",
+        ".",
+        "..",
+        r"team\\b",
+        r"nul\u0000",
+    ];
+    let mut input = String::new();
+    for id in bad.iter().chain(&["plain"]) {
+        input.push_str(&format!(
+            r#"{{"op":"submit","id":"{id}","file":"{}","vectors":64,"verify":"off"}}"#,
+            path.display()
+        ));
+        input.push('\n');
+    }
+    let out = run_batch(cfg, 1, &input);
+    let lines: Vec<&str> = out.lines().collect();
+    let rejected: Vec<&&str> = lines
+        .iter()
+        .filter(|l| event_kind(l) == "rejected")
+        .collect();
+    assert_eq!(rejected.len(), bad.len(), "{out}");
+    for line in rejected {
+        assert!(line.contains("one path component"), "{line}");
+    }
+    let done = lines.iter().filter(|l| event_kind(l) == "done").count();
+    assert_eq!(done, 1, "{out}");
+    assert!(out.contains(r#""id":"plain""#), "{out}");
+    assert!(
+        !dir.join("escape.ckpt").exists(),
+        "no job may write outside the journal"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Batch mode processes stdin-style request lines and drains at EOF.

@@ -49,8 +49,10 @@ pub enum ProverKind {
 /// conflict. A proof abandoned for budget reasons counts as *not proven*
 /// (never cached as refuted by the optimizer) and bumps the
 /// `prove.budget_refuted` counter. The BDD path is bounded by its own
-/// node limit; the budget is checked before the (bounded) BDD build, and
-/// its SAT fallback honours the interrupt like every other SAT query.
+/// node limit; the budget is checked before the (bounded) BDD build. The
+/// SAT miter of [`ProverKind::SatEquiv`] and of the BDD fallback runs
+/// within `conflict_budget` and honours the interrupt and deadline like
+/// every other SAT query.
 ///
 /// With a counterexample `pool`, the rewrite is first replayed against
 /// the pool's earlier SAT witnesses ([`CexPool::refutes`]); a witness
@@ -122,33 +124,38 @@ pub fn prove_rewrite(
             }
             Ok(valid)
         }
-        ProverKind::BddEquiv { node_limit } => {
+        ProverKind::BddEquiv { .. } | ProverKind::SatEquiv => {
             let mut modified = nl.clone();
             transform::apply_rewrite(&mut modified, lib, rw, true)?;
-            match bdd::check_equiv_stats(nl, &modified, node_limit) {
-                Ok((eq, bdd_stats)) => {
-                    record_bdd_stats(bdd_stats);
-                    Ok(eq)
-                }
-                Err(bdd::CircuitBddError::Bdd(_)) => {
+            if let ProverKind::BddEquiv { node_limit } = prover {
+                match bdd::check_equiv_stats(nl, &modified, node_limit) {
+                    Ok((eq, bdd_stats)) => {
+                        record_bdd_stats(bdd_stats);
+                        return Ok(eq);
+                    }
                     // Node budget exhausted: fall back to SAT, as the
                     // paper prescribes for large circuits.
-                    telemetry::counter_add("bdd.fallbacks", 1);
-                    let (eq, sat_stats) =
-                        sat::check_equiv_stats(nl, &modified).map_err(equiv_to_gdo)?;
-                    record_sat_stats(sat_stats);
-                    Ok(eq)
+                    Err(bdd::CircuitBddError::Bdd(_)) => telemetry::counter_add("bdd.fallbacks", 1),
+                    Err(bdd::CircuitBddError::Netlist(e)) => return Err(GdoError::Netlist(e)),
+                    Err(_) => unreachable!("modified copy keeps the interface"),
                 }
-                Err(bdd::CircuitBddError::Netlist(e)) => Err(GdoError::Netlist(e)),
-                Err(_) => unreachable!("modified copy keeps the interface"),
             }
-        }
-        ProverKind::SatEquiv => {
-            let mut modified = nl.clone();
-            transform::apply_rewrite(&mut modified, lib, rw, true)?;
-            let (eq, sat_stats) = sat::check_equiv_stats(nl, &modified).map_err(equiv_to_gdo)?;
-            record_sat_stats(sat_stats);
-            Ok(eq)
+            // The miter is bounded like a clause query; an unfinished
+            // search is not a proof.
+            let (mut enc, differ) = sat::build_miter(nl, &modified).map_err(equiv_to_gdo)?;
+            let solver = enc.solver_mut();
+            if let Some(b) = budget {
+                solver.set_interrupt(b.interrupt_flag());
+                if let Some(deadline) = b.deadline() {
+                    solver.set_deadline(deadline);
+                }
+            }
+            let verdict = solver.solve_limited(&[differ], conflict_budget);
+            record_sat_stats(solver.stats());
+            if verdict.is_none() && budget.is_some_and(Budget::is_exhausted) {
+                telemetry::counter_add("prove.budget_refuted", 1);
+            }
+            Ok(verdict == Some(sat::SatResult::Unsat))
         }
     }
 }
@@ -326,6 +333,43 @@ mod tests {
         for p in all_provers() {
             assert!(!prove(&nl, &lib, &rw, p), "{p:?}");
         }
+    }
+
+    #[test]
+    fn miter_proofs_stop_at_the_conflict_budget() {
+        // o1 is the parity of eight inputs as a chain, o2 the same parity
+        // as a balanced tree: replacing o1's driver by o2's is valid, but
+        // its miter takes the solver more than one conflict.
+        let lib = standard_library();
+        let mut nl = Netlist::new("parity");
+        let inputs: Vec<SignalId> = (0..8).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let mut chain = inputs[0];
+        for &x in &inputs[1..] {
+            chain = nl.add_gate(GateKind::Xor, &[chain, x]).unwrap();
+        }
+        let mut level = inputs.clone();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| nl.add_gate(GateKind::Xor, pair).unwrap())
+                .collect();
+        }
+        nl.add_output("o1", chain);
+        nl.add_output("o2", level[0]);
+        let rw = Rewrite {
+            site: Site::Stem(chain),
+            kind: RewriteKind::Sub2 {
+                b: SigLit::pos(level[0]),
+            },
+        };
+        let prove_within = |conflicts| {
+            prove_rewrite(&nl, &lib, &rw, ProverKind::SatEquiv, conflicts, None, None).unwrap()
+        };
+        assert!(prove_within(GdoConfig::default().conflict_budget));
+        assert!(
+            !prove_within(1),
+            "an unfinished miter search must count as not proven"
+        );
     }
 
     #[test]

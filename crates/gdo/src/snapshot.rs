@@ -243,9 +243,8 @@ pub fn read_payload(path: &Path) -> Result<(String, String), SnapshotError> {
 }
 
 /// Reads only the budget remainders from a snapshot of either kind —
-/// what a resuming caller needs to rebase a fresh [`Budget`] *before*
-/// deciding how to run the job. Returns
-/// `(time_remaining_ms, work_remaining)`.
+/// what a resuming caller needs to build its [`Budget`] before the run.
+/// Returns `(time_remaining_ms, work_remaining)`.
 ///
 /// # Errors
 ///
@@ -253,40 +252,13 @@ pub fn read_payload(path: &Path) -> Result<(String, String), SnapshotError> {
 /// remainder lines are missing.
 pub fn peek_remainders(path: &Path) -> Result<(Option<u64>, Option<u64>), SnapshotError> {
     let (_, payload) = read_payload(path)?;
-    let mut time = None;
-    let mut work = None;
-    let mut seen = 0;
-    for line in payload.lines() {
-        if let Some(v) = line.strip_prefix("time_remaining_ms ") {
-            time = parse_opt_u64(v)?;
-            seen += 1;
-        } else if let Some(v) = line.strip_prefix("work_remaining ") {
-            work = parse_opt_u64(v)?;
-            seen += 1;
-        }
-        if seen == 2 {
-            return Ok((time, work));
-        }
-    }
-    Err(SnapshotError::Malformed(
-        "missing budget remainder lines".into(),
-    ))
-}
-
-/// Builds the resumed-leg [`Budget`] from snapshot remainders: explicit
-/// caller limits win; otherwise the *remaining* wall-clock time and work
-/// from the snapshot are rebased onto a fresh budget (the original
-/// deadline was absolute and would already have expired).
-#[must_use]
-pub fn rebased_budget(
-    explicit_time_ms: Option<u64>,
-    explicit_work: Option<u64>,
-    snapshot_time_ms: Option<u64>,
-    snapshot_work: Option<u64>,
-) -> Budget {
-    let time = explicit_time_ms.or(snapshot_time_ms);
-    let work = explicit_work.or(snapshot_work);
-    Budget::new(time.map(std::time::Duration::from_millis), work)
+    let field = |key: &str| {
+        let value = payload
+            .lines()
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix(' '));
+        parse_opt_u64(value.ok_or_else(|| malformed("missing budget remainder lines"))?)
+    };
+    Ok((field("time_remaining_ms")?, field("work_remaining")?))
 }
 
 fn parse_opt_u64(tok: &str) -> Result<Option<u64>, SnapshotError> {
@@ -1377,18 +1349,6 @@ mod tests {
         }
         assert!(unescape("%zz").is_err());
         assert!(unescape("%2").is_err());
-    }
-
-    #[test]
-    fn rebased_budget_prefers_explicit_limits() {
-        let b = rebased_budget(None, None, Some(50), Some(7));
-        assert_eq!(b.remaining_work(), Some(7));
-        assert!(b.remaining_time().is_some());
-        let b = rebased_budget(None, Some(100), Some(50), Some(7));
-        assert_eq!(b.remaining_work(), Some(100));
-        let b = rebased_budget(None, None, None, None);
-        assert_eq!(b.remaining_work(), None);
-        assert!(b.remaining_time().is_none());
     }
 
     /// Snapshots and gateway journals carry `config_digest`; these are

@@ -27,7 +27,8 @@ use library::Library;
 use netlist::{GateKind, Netlist, NetlistError, RegionExtract, SignalId};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use timing::{LibDelay, TimingGraph};
@@ -416,20 +417,21 @@ fn run_regions(
     let results: Mutex<Vec<Option<RegionOutcome>>> = Mutex::new(initial);
     let errors: Mutex<Vec<PartitionError>> = Mutex::new(Vec::new());
     let next = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
     let children: Mutex<Vec<gdo::CancelHandle>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
         // Supervisor: propagate parent exhaustion/cancel into every
-        // in-flight region budget so workers unwind cooperatively.
-        scope.spawn(|| {
-            while !done.load(Ordering::Acquire) {
+        // in-flight region budget so workers unwind cooperatively, until
+        // `joined` is dropped (no last tick to sit out).
+        let (joined, wait) = mpsc::channel::<()>();
+        let in_flight = &children;
+        scope.spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = wait.recv_timeout(Duration::from_millis(5)) {
                 if budget.is_exhausted() {
-                    for h in children.lock().unwrap().iter() {
+                    for h in in_flight.lock().unwrap().iter() {
                         h.cancel();
                     }
                 }
-                std::thread::sleep(Duration::from_millis(5));
             }
         });
         let mut workers = Vec::new();
@@ -471,7 +473,7 @@ fn run_regions(
         for w in workers {
             let _ = w.join();
         }
-        done.store(true, Ordering::Release);
+        drop(joined);
     });
 
     if let Some(e) = errors.into_inner().unwrap().into_iter().next() {

@@ -18,6 +18,9 @@
 //!    the netlist's edit journal, and one incremental timing update
 //!    re-times the whole parent.
 //!
+//! [`run`], the one entry point of `gdo-opt` and served jobs, runs a
+//! [`RunPlan`] on the whole netlist or region by region.
+//!
 //! A region that fails its equivalence check is quarantined (skipped and
 //! counted in [`PartitionStats::stitch_conflicts`]) rather than sinking
 //! the run; a region whose rewrites would degrade the frozen boundary
@@ -52,8 +55,10 @@
 
 mod cluster;
 mod driver;
+mod run;
 mod snapshot;
 
 pub use cluster::{cluster, ClusterConfig, Clustering, Region};
 pub use driver::{optimize_partitioned, PartitionError, PartitionOptions, PartitionStats};
-pub use snapshot::{options_digest, PartitionSnapshot, RegionDone};
+pub use run::{run, RunError, RunPlan, RunStats};
+pub use snapshot::{PartitionSnapshot, RegionDone};

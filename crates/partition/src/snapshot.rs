@@ -42,8 +42,8 @@ pub struct RegionDone {
 /// The serializable phase-1 state of a partitioned run.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionSnapshot {
-    /// Digest over the optimizer config, engine list, and clustering
-    /// options (see [`options_digest`]).
+    /// Digest over the optimizer config, engine list, clustering bounds
+    /// and region-verification switch (budgets and threads left out).
     pub config_digest: u64,
     /// [`gdo::snapshot::netlist_digest`] of the original parent netlist.
     pub input_digest: u64,
@@ -65,7 +65,7 @@ pub struct PartitionSnapshot {
 /// and thread counts are deliberately excluded — they never change the
 /// result of a region that finishes.
 #[must_use]
-pub fn options_digest(
+pub(crate) fn options_digest(
     cfg: &GdoConfig,
     cluster: &ClusterConfig,
     engines: &[EngineId],

@@ -5,6 +5,7 @@ use gdo::{Budget, GdoConfig};
 use library::{standard_library, MapGoal, Mapper};
 use netlist::Netlist;
 use partition::{optimize_partitioned, ClusterConfig, PartitionOptions, PartitionStats};
+use std::time::Instant;
 
 fn mapped_datapath(width: usize) -> (library::Library, Netlist) {
     let lib = standard_library();
@@ -109,4 +110,42 @@ fn single_region_degenerates_to_whole_netlist_optimization() {
     assert!(stats.regions >= 1);
     assert!(sat::check_equiv(&reference, &nl).unwrap());
     assert!(stats.delay_after <= stats.delay_before + 1e-9);
+}
+
+#[test]
+fn cancelling_the_parent_budget_stops_running_regions() {
+    // C1908's three regions keep two region threads busy for about two
+    // seconds in a debug build.
+    let lib = standard_library();
+    let source = workloads::lookup_circuit("C1908").unwrap().build();
+    let input = Mapper::new(&lib).goal(MapGoal::Area).map(&source).unwrap();
+
+    let mut whole = input.clone();
+    let started = Instant::now();
+    let full = run(&lib, &mut whole, 2, 2, &Budget::unlimited());
+    let uncancelled = started.elapsed();
+    assert!(!full.budget_exhausted);
+
+    let budget = Budget::unlimited();
+    let cancel = budget.cancel_handle();
+    let mut nl = input.clone();
+    let started = Instant::now();
+    let stats = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            std::thread::sleep(uncancelled / 10);
+            cancel.cancel();
+        });
+        run(&lib, &mut nl, 2, 2, &budget)
+    });
+    let cancelled = started.elapsed();
+    assert!(stats.budget_exhausted, "{stats:?}");
+    assert!(
+        cancelled < uncancelled / 2,
+        "cancelled after {:?}, the run took {cancelled:?}; uncancelled it takes {uncancelled:?}",
+        uncancelled / 10
+    );
+    assert!(
+        sat::check_equiv(&input, &nl).unwrap(),
+        "a cancelled run must leave an equivalent netlist"
+    );
 }

@@ -128,6 +128,9 @@ pub enum Request {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
     /// Client-chosen job id; the gateway assigns `job-N` when absent.
+    /// The id names the job's files, so the gateway rejects one that is
+    /// not a single path component: empty, `.`, `..`, or containing `/`,
+    /// `\` or NUL.
     pub id: Option<String>,
     /// What to optimize.
     pub source: JobSource,

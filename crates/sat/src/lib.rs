@@ -47,7 +47,7 @@ pub mod sweep;
 
 pub use cnf::{Lit, Var};
 pub use encode::CircuitCnf;
-pub use miter::{build_miter, check_equiv, check_equiv_stats, EquivError};
+pub use miter::{build_miter, check_equiv, EquivError};
 pub use prove::{ClauseProver, ClauseVerdict, FaultSite};
 pub use solver::{Model, SatResult, Solver, SolverStats};
 pub use sweep::{check_equiv_sweep, check_equiv_sweep_stats, SweepStats};

@@ -144,25 +144,8 @@ pub fn build_miter(a: &Netlist, b: &Netlist) -> Result<(CircuitCnf, Lit), EquivE
 /// # }
 /// ```
 pub fn check_equiv(a: &Netlist, b: &Netlist) -> Result<bool, EquivError> {
-    check_equiv_stats(a, b).map(|(eq, _)| eq)
-}
-
-/// [`check_equiv`] that also returns the miter solver's search
-/// statistics, for pipeline accounting.
-///
-/// # Errors
-///
-/// See [`build_miter`].
-pub fn check_equiv_stats(
-    a: &Netlist,
-    b: &Netlist,
-) -> Result<(bool, crate::SolverStats), EquivError> {
     let (mut enc, diff) = build_miter(a, b)?;
-    let eq = match enc.solver_mut().solve(&[diff]) {
-        SatResult::Sat(_) => false,
-        SatResult::Unsat => true,
-    };
-    Ok((eq, enc.solver_ref().stats()))
+    Ok(enc.solver_mut().solve(&[diff]) == SatResult::Unsat)
 }
 
 #[cfg(test)]

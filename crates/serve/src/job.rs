@@ -2,7 +2,7 @@
 //! a worker runs it (load → map → optimize under a [`Budget`]
 //! → per-job [`RunReport`]).
 
-use gdo::{Budget, EngineId, GdoConfig, GdoStats, OptimizeRequest, Pipeline, VerifyPolicy};
+use gdo::{Budget, EngineId, GdoConfig, GdoStats, VerifyPolicy};
 use library::{Library, MapGoal, Mapper};
 use netlist::Netlist;
 use proto::{verify_name, InputFormat, ShippedInput};
@@ -95,63 +95,64 @@ pub fn load_job_netlist(
     lib: &Library,
     source: &JobSource,
 ) -> Result<(Netlist, bool, Option<ShippedInput>), String> {
-    let (nl, mapped, shipped) = match source {
+    match source {
         JobSource::Suite(name) => {
             let entry = workloads::lookup_circuit(name).map_err(|e| e.to_string())?;
-            (entry.build(), false, None)
+            validate(entry.build(), source).map(|nl| (nl, false, None))
         }
         JobSource::File(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let format = match path.extension().and_then(|e| e.to_str()) {
-                Some("bench") => InputFormat::Bench,
-                Some("blif") => InputFormat::Blif,
-                other => {
-                    return Err(format!(
-                        "{}: cannot infer format from extension {other:?} (use .bench or .blif)",
-                        path.display()
-                    ))
-                }
-            };
-            let (nl, mapped) = parse_netlist_text(lib, format, &text)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            (nl, mapped, Some(ShippedInput { format, text }))
-        }
-    };
-    nl.validate()
-        .map_err(|e| format!("invalid input netlist {}: {e}", source.describe()))?;
-    Ok((nl, mapped, shipped))
-}
-
-/// Parses netlist text in `format` (BLIF with `.gate` lines is read as
-/// a mapped netlist against `lib`). Returns the netlist and whether it
-/// is already mapped, or the parse error's display string.
-fn parse_netlist_text(
-    lib: &Library,
-    format: InputFormat,
-    text: &str,
-) -> Result<(Netlist, bool), String> {
-    match format {
-        InputFormat::Bench => Ok((
-            formats::parse_bench(text).map_err(|e| e.to_string())?,
-            false,
-        )),
-        InputFormat::Blif => {
-            if text.lines().any(|l| l.trim_start().starts_with(".gate")) {
-                Ok((
-                    library::parse_mapped_blif(lib, text).map_err(|e| e.to_string())?,
-                    true,
-                ))
-            } else {
-                Ok((formats::parse_blif(text).map_err(|e| e.to_string())?, false))
-            }
+            let ext = path.extension().and_then(|e| e.to_str());
+            let format = ext.and_then(InputFormat::from_name).ok_or_else(|| {
+                format!(
+                    "{}: cannot infer format from extension {ext:?} (use .bench or .blif)",
+                    path.display()
+                )
+            })?;
+            let shipped = ShippedInput { format, text };
+            let (nl, mapped) = parse_job_input(lib, source, &shipped)?;
+            Ok((nl, mapped, Some(shipped)))
         }
     }
 }
 
-/// Runs one job on a worker's library under `budget`: load, map (area
-/// goal, skipped for pre-mapped inputs), optimize, and assemble the
-/// per-job [`RunReport`].
+/// Parses and validates a file job's text, read by [`load_job_netlist`]
+/// or shipped to a worker with the job; errors name `source`. BLIF with
+/// `.gate` lines is read as a mapped netlist against `lib`. Returns the
+/// netlist and whether it is already mapped.
+fn parse_job_input(
+    lib: &Library,
+    source: &JobSource,
+    input: &ShippedInput,
+) -> Result<(Netlist, bool), String> {
+    let text = input.text.as_str();
+    let mapped = input.format == InputFormat::Blif
+        && text.lines().any(|l| l.trim_start().starts_with(".gate"));
+    let nl = match input.format {
+        _ if mapped => library::parse_mapped_blif(lib, text).map_err(|e| e.to_string()),
+        InputFormat::Bench => formats::parse_bench(text).map_err(|e| e.to_string()),
+        InputFormat::Blif => formats::parse_blif(text).map_err(|e| e.to_string()),
+    };
+    let nl = nl.map_err(|e| format!("{}: {e}", source.describe()))?;
+    validate(nl, source).map(|nl| (nl, mapped))
+}
+
+/// Rejects a structurally broken job input, naming its source.
+fn validate(nl: Netlist, source: &JobSource) -> Result<Netlist, String> {
+    match nl.validate() {
+        Ok(()) => Ok(nl),
+        Err(e) => Err(format!("invalid input netlist {}: {e}", source.describe())),
+    }
+}
+
+/// Runs one job on a worker's library under `budget`: load (parsing the
+/// text the gateway shipped with a file job, `input`, in memory; without
+/// it through [`load_job_netlist`]), map (area goal, skipped for
+/// pre-mapped inputs), optimize through [`partition::run`], and assemble
+/// the per-job [`RunReport`]. A resume snapshot the run rejects is
+/// counted (`snapshot.rejected`, `resume_rejected` meta) and the job runs
+/// again from its input.
 ///
 /// The submission's `deadline_ms`/`work_limit` are not part of the spec:
 /// the worker builds `budget` from them, so cancellation and budget
@@ -161,8 +162,16 @@ fn parse_netlist_text(
 ///
 /// A display string (load/parse/map/optimizer failure) for the job's
 /// `failed` event.
-pub fn run_job(lib: &Library, spec: &JobSpec, budget: &Budget) -> Result<JobResult, String> {
-    let (source_nl, mapped_input, _) = load_job_netlist(lib, &spec.source)?;
+pub fn run_job(
+    lib: &Library,
+    spec: &JobSpec,
+    input: Option<&ShippedInput>,
+    budget: &Budget,
+) -> Result<JobResult, String> {
+    let (source_nl, mapped_input) = match input {
+        Some(shipped) => parse_job_input(lib, &spec.source, shipped)?,
+        None => load_job_netlist(lib, &spec.source).map(|(nl, mapped, _)| (nl, mapped))?,
+    };
     let mut nl = if mapped_input {
         source_nl
     } else {
@@ -194,98 +203,33 @@ pub fn run_job(lib: &Library, spec: &JobSpec, budget: &Budget) -> Result<JobResu
     report
         .meta
         .insert("engines".into(), EngineId::render_list(&spec.engines));
-    let ckpt_spec = spec
-        .checkpoint
-        .as_ref()
-        .map(|p| gdo::CheckpointSpec::new(p.clone()).every(CHECKPOINT_EVERY));
-    // A rejected snapshot (unreadable, corrupt, wrong spec or input) must
-    // never sink the job: note it, count it, and re-run from scratch —
-    // the journal replay already guarantees the job itself is not lost.
-    fn reject_snapshot(report: &mut RunReport, e: String) {
-        report.counters.insert("snapshot.rejected".into(), 1);
-        report.meta.insert("resume_rejected".into(), e);
-    }
-    let stats = if spec.partitions > 0 {
-        // Partitioned path: region workers run serially inside this job
-        // (cfg.threads is 1 above), so a partitioned job costs one worker
-        // slot like any other, and the per-region progress counters land
-        // in the job's report.
-        let popts = partition::PartitionOptions {
-            cluster: partition::ClusterConfig::for_partitions(nl.stats().gates, spec.partitions),
-            threads: 1,
-            verify_regions: true,
-            engines: spec.engines.clone(),
-            checkpoint: ckpt_spec,
-            ..partition::PartitionOptions::default()
-        };
-        let resume = match &spec.resume {
-            None => None,
-            Some(path) => match partition::PartitionSnapshot::read(path) {
-                Ok(snap) => {
-                    let expect = partition::options_digest(
-                        &cfg,
-                        &popts.cluster,
-                        &popts.engines,
-                        popts.verify_regions,
-                    );
-                    if snap.config_digest == expect
-                        && snap.input_digest == gdo::snapshot::netlist_digest(&nl)
-                    {
-                        Some(snap)
-                    } else {
-                        reject_snapshot(
-                            &mut report,
-                            format!(
-                                "{}: snapshot was written by a different job spec or input",
-                                path.display()
-                            ),
-                        );
-                        None
-                    }
-                }
-                Err(e) => {
-                    reject_snapshot(&mut report, format!("{}: {e}", path.display()));
-                    None
-                }
-            },
-        };
-        let popts = partition::PartitionOptions {
-            resume_from: resume,
-            ..popts
-        };
-        let ps = partition::optimize_partitioned(lib, &cfg, &mut nl, &popts, budget)
-            .map_err(|e| format!("optimizing {circuit} failed: {e}"))?;
-        ps.merge_into_report(&mut report);
-        ps.gdo
-    } else {
-        let mut req = OptimizeRequest::new(cfg).engines(spec.engines.clone());
-        if let Some(ck) = ckpt_spec {
-            req = req.checkpoint(ck);
-        }
-        if let Some(path) = &spec.resume {
-            match gdo::RunSnapshot::read(path) {
-                Ok(snap)
-                    if snap.config_digest == gdo::snapshot::config_digest(&req)
-                        && snap.input_digest == gdo::snapshot::netlist_digest(&nl) =>
-                {
-                    req = req.resume_from(snap);
-                }
-                Ok(_) => reject_snapshot(
-                    &mut report,
-                    format!(
-                        "{}: snapshot was written by a different job spec or input",
-                        path.display()
-                    ),
-                ),
-                Err(e) => reject_snapshot(&mut report, format!("{}: {e}", path.display())),
-            }
-        }
-        let stats = Pipeline::new(lib)
-            .run(&req, &mut nl, budget)
-            .map_err(|e| format!("optimizing {circuit} failed: {e}"))?;
-        stats.merge_into_report(&mut report);
-        stats
+    // Partitioned jobs run their regions on one thread, so a partitioned
+    // job costs one worker slot like any other.
+    let cluster = partition::ClusterConfig::for_partitions(nl.stats().gates, spec.partitions);
+    let mut plan = partition::RunPlan {
+        cfg,
+        engines: spec.engines.clone(),
+        regions: (spec.partitions > 0).then_some((cluster, 1)),
+        checkpoint: spec
+            .checkpoint
+            .as_ref()
+            .map(|p| gdo::CheckpointSpec::new(p.clone()).every(CHECKPOINT_EVERY)),
+        resume: spec.resume.clone(),
     };
+    // A rejected snapshot may leave its own netlist in `nl`, so the rerun
+    // starts from a copy of the input.
+    let input_copy = spec.resume.is_some().then(|| nl.clone());
+    let mut run = partition::run(lib, &plan, &mut nl, budget);
+    if let (Err(partition::RunError::Rejected { path, error }), Some(input)) = (&run, input_copy) {
+        let why = format!("{}: {error}", path.display());
+        report.counters.insert("snapshot.rejected".into(), 1);
+        report.meta.insert("resume_rejected".into(), why);
+        (nl, plan.resume) = (input, None);
+        run = partition::run(lib, &plan, &mut nl, budget);
+    }
+    let run = run.map_err(|e| format!("optimizing {circuit} failed: {e}"))?;
+    run.merge_into_report(&mut report);
+    let stats = *run.gdo();
 
     let outcome = if budget.was_cancelled_externally() {
         JobOutcome::Cancelled
@@ -328,7 +272,7 @@ mod tests {
         let lib = library::standard_library();
         let s = spec(JobSource::Suite("Z5xp1".to_string()));
         let budget = Budget::unlimited();
-        let result = run_job(&lib, &s, &budget).unwrap();
+        let result = run_job(&lib, &s, None, &budget).unwrap();
         assert_eq!(result.circuit, "Z5xp1");
         assert_eq!(result.outcome, JobOutcome::Done);
         assert!(result.stats.gates_after > 0);
@@ -342,7 +286,7 @@ mod tests {
         let lib = library::standard_library();
         let mut s = spec(JobSource::Suite("C880".to_string()));
         s.partitions = 4;
-        let result = run_job(&lib, &s, &Budget::unlimited()).unwrap();
+        let result = run_job(&lib, &s, None, &Budget::unlimited()).unwrap();
         assert_eq!(result.outcome, JobOutcome::Done);
         let regions = result.report.counters["partition.regions"];
         assert!(regions >= 4, "expected several regions, got {regions}");
@@ -357,7 +301,7 @@ mod tests {
     fn unknown_suite_entry_lists_valid_names() {
         let lib = library::standard_library();
         let s = spec(JobSource::Suite("nope".to_string()));
-        let err = run_job(&lib, &s, &Budget::unlimited()).unwrap_err();
+        let err = run_job(&lib, &s, None, &Budget::unlimited()).unwrap_err();
         assert!(err.contains("valid names"), "{err}");
         assert!(err.contains("Z5xp1"), "{err}");
     }
@@ -371,7 +315,13 @@ mod tests {
         let subject = library::to_subject_graph(&nl).unwrap();
         std::fs::write(&path, formats::write_bench(&subject).unwrap()).unwrap();
         let lib = library::standard_library();
-        let result = run_job(&lib, &spec(JobSource::File(path)), &Budget::unlimited()).unwrap();
+        let result = run_job(
+            &lib,
+            &spec(JobSource::File(path)),
+            None,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(result.outcome, JobOutcome::Done);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -381,7 +331,7 @@ mod tests {
         let lib = library::standard_library();
         let s = spec(JobSource::Suite("9sym".to_string()));
         let budget = Budget::new(None, Some(1));
-        let result = run_job(&lib, &s, &budget).unwrap();
+        let result = run_job(&lib, &s, None, &budget).unwrap();
         assert_eq!(result.outcome, JobOutcome::Degraded);
         assert!(result.stats.budget_exhausted);
         assert_eq!(result.report.counters["budget.exhausted"], 1);
@@ -393,7 +343,7 @@ mod tests {
         let s = spec(JobSource::Suite("9sym".to_string()));
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let result = run_job(&lib, &s, &budget).unwrap();
+        let result = run_job(&lib, &s, None, &budget).unwrap();
         assert_eq!(result.outcome, JobOutcome::Cancelled);
     }
 
@@ -401,7 +351,7 @@ mod tests {
     fn missing_file_fails_with_path() {
         let lib = library::standard_library();
         let s = spec(JobSource::File("/nonexistent/x.bench".into()));
-        let err = run_job(&lib, &s, &Budget::unlimited()).unwrap_err();
+        let err = run_job(&lib, &s, None, &Budget::unlimited()).unwrap_err();
         assert!(err.contains("/nonexistent/x.bench"), "{err}");
     }
 }
