@@ -8,7 +8,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CircuitBddError {
-    /// The node budget was exhausted; fall back to SAT.
+    /// The node budget was exhausted (fall back to SAT), or the
+    /// manager's interrupt flag or deadline stopped the build.
     Bdd(BddError),
     /// The netlist is cyclic.
     Netlist(NetlistError),
@@ -158,7 +159,7 @@ pub fn build_outputs(mgr: &mut BddManager, nl: &Netlist) -> Result<Vec<BddRef>, 
 /// # }
 /// ```
 pub fn check_equiv(a: &Netlist, b: &Netlist, node_limit: usize) -> Result<bool, CircuitBddError> {
-    check_equiv_stats(a, b, node_limit).map(|(eq, _)| eq)
+    check_equiv_stats(a, b, BddManager::with_node_limit(node_limit)).map(|(eq, _)| eq)
 }
 
 /// Size statistics of one [`check_equiv_stats`] call.
@@ -170,21 +171,22 @@ pub struct BddCheckStats {
     pub ite_cache_entries: usize,
 }
 
-/// [`check_equiv`] that also reports the manager's node and ITE-cache
-/// counts, for pipeline accounting.
+/// [`check_equiv`] in a caller-configured manager `mgr` (its node
+/// limit, interrupt flag and deadline apply) that also reports the
+/// manager's node and ITE-cache counts, for pipeline accounting.
 ///
 /// # Errors
 ///
-/// Same as [`check_equiv`].
+/// Same as [`check_equiv`], and [`CircuitBddError::Bdd`] with
+/// [`BddError::Interrupted`] when the manager was stopped.
 pub fn check_equiv_stats(
     a: &Netlist,
     b: &Netlist,
-    node_limit: usize,
+    mut mgr: BddManager,
 ) -> Result<(bool, BddCheckStats), CircuitBddError> {
     if a.inputs().len() != b.inputs().len() || a.outputs().len() != b.outputs().len() {
         return Err(CircuitBddError::InterfaceMismatch);
     }
-    let mut mgr = BddManager::with_node_limit(node_limit);
     let oa = build_outputs(&mut mgr, a)?;
     let ob = build_outputs(&mut mgr, b)?;
     let stats = BddCheckStats {
@@ -285,6 +287,26 @@ mod tests {
         assert!(matches!(result, Err(CircuitBddError::Bdd(_))));
         // With a real budget it verifies.
         assert!(check_equiv(&nl, &nl.clone(), 1 << 20).unwrap());
+    }
+
+    #[test]
+    fn a_raised_interrupt_or_a_passed_deadline_stops_the_check() {
+        let mut n1 = Netlist::new("n1");
+        let a = n1.add_input("a");
+        let b = n1.add_input("b");
+        let g = n1.add_gate(GateKind::Xor, &[a, b]).unwrap();
+        n1.add_output("y", g);
+        let stopped = |configure: &dyn Fn(&mut BddManager)| {
+            let mut mgr = BddManager::new();
+            configure(&mut mgr);
+            check_equiv_stats(&n1, &n1.clone(), mgr)
+        };
+        let raised = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let interrupted = Err(CircuitBddError::Bdd(BddError::Interrupted));
+        assert_eq!(stopped(&|m| m.set_interrupt(raised.clone())), interrupted);
+        let past = std::time::Instant::now();
+        assert_eq!(stopped(&|m| m.set_deadline(past)), interrupted);
+        assert!(stopped(&|_| {}).unwrap().0, "an unstopped check answers");
     }
 
     #[test]

@@ -1,5 +1,8 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// A reference to a BDD node within one [`BddManager`].
 ///
@@ -41,6 +44,9 @@ pub enum BddError {
         /// The limit that was hit.
         limit: usize,
     },
+    /// The interrupt flag was raised or the deadline passed
+    /// ([`BddManager::set_interrupt`], [`BddManager::set_deadline`]).
+    Interrupted,
 }
 
 impl fmt::Display for BddError {
@@ -49,6 +55,7 @@ impl fmt::Display for BddError {
             BddError::NodeLimit { limit } => {
                 write!(f, "bdd node limit of {limit} nodes exhausted")
             }
+            BddError::Interrupted => write!(f, "bdd construction interrupted"),
         }
     }
 }
@@ -64,15 +71,24 @@ struct Node {
     hi: BddRef,
 }
 
-/// A shared ROBDD manager: unique table, ITE with a computed table, and a
-/// configurable node budget.
+/// A shared ROBDD manager: unique table, ITE with a computed table, a
+/// configurable node budget, and an optional interrupt flag and deadline.
 #[derive(Debug)]
 pub struct BddManager {
     nodes: Vec<Node>,
     unique: HashMap<Node, BddRef>,
     computed: HashMap<(BddRef, BddRef, BddRef), BddRef>,
     limit: usize,
+    /// ITE computed-table misses so far; the stop checks run on the first
+    /// and then every [`STOP_CHECK_EVERY`]-th.
+    misses: u64,
+    interrupt: Option<Arc<AtomicBool>>,
+    deadline: Option<Instant>,
 }
+
+/// ITE computed-table misses between two looks at the interrupt flag and
+/// the clock.
+const STOP_CHECK_EVERY: u64 = 1024;
 
 impl Default for BddManager {
     fn default() -> Self {
@@ -108,7 +124,23 @@ impl BddManager {
             unique: HashMap::new(),
             computed: HashMap::new(),
             limit,
+            misses: 0,
+            interrupt: None,
+            deadline: None,
         }
+    }
+
+    /// Installs a shared interrupt flag: once it is raised, operations
+    /// fail with [`BddError::Interrupted`] — how a run's cancellation or
+    /// exhausted budget reaches into a BDD build.
+    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
+        self.interrupt = Some(flag);
+    }
+
+    /// Installs an absolute wall-clock deadline, past which operations
+    /// fail with [`BddError::Interrupted`].
+    pub fn set_deadline(&mut self, deadline: Instant) {
+        self.deadline = Some(deadline);
     }
 
     /// Number of live nodes (including the two terminals).
@@ -169,7 +201,9 @@ impl BddManager {
     ///
     /// # Errors
     ///
-    /// [`BddError::NodeLimit`] when the node budget is exhausted.
+    /// [`BddError::NodeLimit`] when the node budget is exhausted, and
+    /// [`BddError::Interrupted`] once the interrupt flag or the deadline
+    /// stops the manager (every operation below builds on this one).
     pub fn ite(&mut self, f: BddRef, g: BddRef, h: BddRef) -> Result<BddRef, BddError> {
         // Terminal cases.
         if f == BddRef::TRUE {
@@ -187,6 +221,16 @@ impl BddManager {
         if let Some(&r) = self.computed.get(&(f, g, h)) {
             return Ok(r);
         }
+        if self.misses.is_multiple_of(STOP_CHECK_EVERY) {
+            let raised = self
+                .interrupt
+                .as_ref()
+                .is_some_and(|flag| flag.load(Ordering::Relaxed));
+            if raised || self.deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(BddError::Interrupted);
+            }
+        }
+        self.misses += 1;
         let top = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
         let (f0, f1) = self.cofactors(f, top);
         let (g0, g1) = self.cofactors(g, top);
@@ -447,6 +491,7 @@ mod tests {
                     failed = true;
                     break;
                 }
+                Err(e) => panic!("unexpected {e}"),
             }
         }
         assert!(failed, "node limit never triggered");

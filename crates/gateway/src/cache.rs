@@ -1,8 +1,9 @@
-//! The persistent structural-hash result cache.
+//! The persistent result cache.
 //!
-//! The gateway answers a duplicate submission — same strashed netlist
-//! structure, library, and deterministic config ([`crate::key`]) — in
-//! O(1) from this cache instead of burning a worker on it. Entries hold
+//! The gateway answers a repeated submission — the same input (suite
+//! name, or file format and text), library, and deterministic config
+//! ([`crate::key`]) — in O(1) from this cache instead of burning a
+//! worker on it. Entries hold
 //! the finished run's circuit name, full [`telemetry::RunReport`], and
 //! the optimized netlist as mapped BLIF text: enough to replay a
 //! byte-identical terminal event with only the job id changed.

@@ -22,12 +22,12 @@
 //! same gateway with `--workers N` in-process ones and blocking
 //! admission.
 //!
-//! Admission loads the netlist, computes the structural cache key
-//! ([`crate::key`]), and answers duplicates straight from the result
-//! cache ([`crate::cache`]) without touching a worker. Cache misses
-//! pass the load-shedding watermarks ([`crate::shed`]), are journaled
-//! to the write-ahead log ([`serve::wal`]), and queue until a worker
-//! credit claims them.
+//! Admission loads and validates the input, keys the job on exactly
+//! what its worker will read ([`crate::key`]), and answers repeats
+//! straight from the result cache ([`crate::cache`]) without touching a
+//! worker. Cache misses pass the load-shedding watermarks
+//! ([`crate::shed`]), are journaled to the write-ahead log
+//! ([`serve::wal`]), and queue until a worker credit claims them.
 //!
 //! A worker that goes silent past its heartbeat deadline — or whose
 //! socket closes, which a SIGKILL does instantly — is declared dead:
@@ -407,54 +407,50 @@ impl Gateway {
         let seed = req.seed.unwrap_or(self.defaults.0);
         let verify = req.verify.unwrap_or(self.defaults.1);
 
-        // Load the netlist *at admission*: the structural cache key
-        // needs it, file jobs ship their bytes to the worker, and bad
-        // inputs (unknown suite names, unreadable files) fail fast here
-        // instead of burning a queue slot.
-        let (nl, mapped, input) = match load_job_netlist(&self.lib, &req.source) {
-            Ok(t) => t,
+        // Load and validate the input *at admission*: file jobs ship
+        // their text to the worker, and bad inputs (unknown suite names,
+        // unreadable or malformed files) fail fast here instead of
+        // burning a queue slot.
+        let input = match load_job_netlist(&self.lib, &req.source) {
+            Ok((_, _, input)) => input,
             Err(e) => {
                 reject(e, false);
                 return;
             }
         };
-        let key = match cache_key(
-            &self.lib,
-            &nl,
-            mapped,
-            seed,
-            req.vectors,
-            verify,
-            &engines,
-            req.partitions.unwrap_or(0),
-        ) {
-            Ok(k) => k,
-            Err(e) => {
-                reject(e, false);
-                return;
-            }
-        };
-        drop(nl);
 
-        // O(1) duplicate answer: a cached `done` of the same structure
-        // and config replays without touching a worker.
+        // The wire-ready spec: id pinned, defaults resolved, journal
+        // checkpoint path attached. This exact object ships to whatever
+        // worker runs the job — possibly several, across requeues — and
+        // with the input it is what the cache key hashes.
+        let checkpoint = req.checkpoint.clone().or_else(|| {
+            self.journal_dir
+                .as_ref()
+                .map(|dir| dir.join(format!("{id}.ckpt")))
+        });
+        let spec = SubmitRequest {
+            id: Some(id.clone()),
+            seed: Some(seed),
+            verify: Some(verify),
+            engines: Some(gdo::EngineId::render_list(&engines)),
+            checkpoint,
+            ..req
+        };
+        let key = cache_key(&self.lib, &spec, input.as_ref());
+
+        // O(1) duplicate answer: a cached `done` of the same input and
+        // config replays without touching a worker.
         if let Some(hit) = self.cache.get(key) {
             self.counters.admitted.fetch_add(1, Ordering::Relaxed);
             if let Some(w) = &self.wal {
-                w.append_job(
-                    &id,
-                    &proto::submit_to_json(&SubmitRequest {
-                        id: Some(id.clone()),
-                        ..req.clone()
-                    }),
-                );
+                w.append_job(&id, &proto::submit_to_json(&spec));
             }
             lock(&self.live_ids).insert(id.clone());
             emit(
                 out,
                 &Event::Accepted {
                     id: id.clone(),
-                    priority: req.priority,
+                    priority: spec.priority,
                     queue_depth: self.queue.len(),
                 },
             );
@@ -468,7 +464,7 @@ impl Gateway {
                     id: id.clone(),
                     report,
                     cached: true,
-                    blif: req.want_netlist.then(|| hit.blif.clone()),
+                    blif: spec.want_netlist.then(|| hit.blif.clone()),
                 },
             );
             return;
@@ -484,31 +480,15 @@ impl Gateway {
         };
         if let Some(reason) = self
             .shed
-            .decide(req.priority, depth, granted, req.work_limit)
+            .decide(spec.priority, depth, granted, spec.work_limit)
         {
             reject(reason, true);
             return;
         }
         self.counters
             .work_granted
-            .fetch_add(self.shed.grant(req.work_limit), Ordering::Relaxed);
+            .fetch_add(self.shed.grant(spec.work_limit), Ordering::Relaxed);
 
-        // The wire-ready spec: id pinned, defaults resolved, journal
-        // checkpoint path attached. This exact object ships to whatever
-        // worker runs the job — possibly several, across requeues.
-        let checkpoint = req.checkpoint.clone().or_else(|| {
-            self.journal_dir
-                .as_ref()
-                .map(|dir| dir.join(format!("{id}.ckpt")))
-        });
-        let spec = SubmitRequest {
-            id: Some(id.clone()),
-            seed: Some(seed),
-            verify: Some(verify),
-            engines: Some(gdo::EngineId::render_list(&engines)),
-            checkpoint,
-            ..req
-        };
         if let Some(w) = &self.wal {
             w.append_job(&id, &proto::submit_to_json(&spec));
         }

@@ -1,20 +1,18 @@
 //! The result-cache key: *what makes two submissions the same job*.
 //!
-//! Two submissions must share a key exactly when a completed run of one
-//! is a valid answer for the other. The key therefore combines
-//! everything that determines the optimizer's output — and nothing
-//! else:
+//! Two submissions share a key exactly when the worker would read the
+//! same things for both, so a completed run of one is, byte for byte,
+//! the answer for the other. The key therefore hashes exactly what the
+//! worker reads, and nothing else:
 //!
-//! - the **structural digest of the strashed input netlist**
-//!   ([`netlist::Netlist::structural_digest`]): renamed signals,
-//!   permuted declarations, and redundant structurally-equal nodes all
-//!   collapse to the same digest, so a resubmitted circuit hits the
-//!   cache even after a cosmetic rewrite of its file;
-//! - whether the input arrived **pre-mapped** (a mapped input skips
-//!   technology mapping, which changes the run);
+//! - the **input**: a suite job's entry name; a file job's shipped
+//!   [`InputFormat`](proto::InputFormat) and file text, verbatim. The
+//!   path is not read by the worker and is not hashed, so the same text
+//!   under another path is the same job; a renamed signal or a reordered
+//!   port is another, since both show in the result's names and order;
 //! - the **library digest** ([`library::Library::digest`]): the same
 //!   circuit against a different cell library is a different job;
-//! - the deterministic **configuration**: seed, vectors, verify
+//! - the resolved deterministic **configuration**: seed, vectors, verify
 //!   policy, engine pipeline, and partition count.
 //!
 //! Deliberately excluded: `deadline_ms` and `work_limit`. Budgets bound
@@ -25,172 +23,148 @@
 //! and resume paths (a resumed run converges to the uninterrupted
 //! result), and the presentation flags `netlist`/`progress`.
 
-use gdo::{EngineId, VerifyPolicy};
+use gdo::snapshot::fnv1a64;
 use library::Library;
-use netlist::Netlist;
+use proto::{ShippedInput, SubmitRequest};
 
-/// Computes the cache key for one admitted job.
-///
-/// Strashing runs on a clone — the caller's netlist is untouched.
-///
-/// # Errors
-///
-/// A display string when the netlist cannot be strashed or digested
-/// (cyclic or otherwise invalid input).
-#[allow(clippy::too_many_arguments)] // one axis per canonicalized config field
-pub fn cache_key(
-    lib: &Library,
-    nl: &Netlist,
-    mapped: bool,
-    seed: u64,
-    vectors: Option<usize>,
-    verify: VerifyPolicy,
-    engines: &[EngineId],
-    partitions: usize,
-) -> Result<u64, String> {
-    let mut canon = nl.clone();
-    canon
-        .strash()
-        .map_err(|e| format!("strashing {} for the cache key: {e}", nl.name()))?;
-    let structure = canon
-        .structural_digest()
-        .map_err(|e| format!("digesting {} for the cache key: {e}", nl.name()))?;
-
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+/// Computes the cache key of one admitted job: `spec` with the gateway's
+/// defaults resolved, as it ships in an `assign`, and `input`, the file
+/// text shipped beside it (`None` for a suite job).
+#[must_use]
+pub fn cache_key(lib: &Library, spec: &SubmitRequest, input: Option<&ShippedInput>) -> u64 {
+    // The input is length-prefixed and the config rendered in a fixed
+    // shape after it, so no two jobs render to the same bytes.
+    let input = match input {
+        Some(shipped) => format!(
+            "file {} {}\n{}",
+            shipped.format.name(),
+            shipped.text.len(),
+            shipped.text
+        ),
+        None => format!("suite {:?}", spec.source.describe()),
     };
-    eat(&structure.to_le_bytes());
-    eat(&[u8::from(mapped)]);
-    eat(&lib.digest().to_le_bytes());
-    eat(&seed.to_le_bytes());
-    // Length-prefix-free tag bytes keep `None` distinct from any value.
-    match vectors {
-        None => eat(&[0]),
-        Some(n) => {
-            eat(&[1]);
-            eat(&(n as u64).to_le_bytes());
-        }
-    }
-    eat(proto::client::verify_name(verify).as_bytes());
-    eat(EngineId::render_list(engines).as_bytes());
-    eat(&(partitions as u64).to_le_bytes());
-    // Finish with an avalanche so nearby configs spread over the key
-    // space (FNV alone keeps low bits correlated).
-    let mut x = h;
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    Ok(x)
+    let bytes = format!(
+        "{input}\n{:016x}|{:?}|{:?}|{:?}|{:?}|{}",
+        lib.digest(),
+        spec.seed,
+        spec.vectors,
+        spec.verify.map(proto::verify_name),
+        spec.engines,
+        spec.partitions.unwrap_or(0),
+    );
+    fnv1a64(bytes.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlist::GateKind;
+    use proto::InputFormat;
 
-    fn circuit(names: [&str; 2]) -> Netlist {
-        let mut nl = Netlist::new("k");
-        let a = nl.add_input(names[0]);
-        let b = nl.add_input(names[1]);
-        let g = nl.add_gate(GateKind::And, &[a, b]).unwrap();
-        let h = nl.add_gate(GateKind::Not, &[g]).unwrap();
-        nl.add_output("y", h);
-        nl
+    /// The resolved spec of a submit whose JSON fields are `fields`.
+    fn spec(fields: &str) -> SubmitRequest {
+        match proto::parse_request(&format!(r#"{{"op":"submit",{fields}}}"#)).unwrap() {
+            proto::Request::Submit(spec) => *spec,
+            other => panic!("not a submit: {other:?}"),
+        }
     }
 
-    fn key_of(nl: &Netlist, seed: u64, partitions: usize) -> u64 {
-        cache_key(
-            &library::standard_library(),
-            nl,
-            false,
-            seed,
-            Some(64),
-            VerifyPolicy::Final,
-            &[EngineId::Gdo],
-            partitions,
-        )
-        .unwrap()
+    fn file(path: &str) -> SubmitRequest {
+        spec(&format!(
+            r#""file":"{path}","seed":7,"vectors":64,"verify":"final","engines":"gdo""#
+        ))
     }
 
+    fn bench(text: &str) -> ShippedInput {
+        ShippedInput {
+            format: InputFormat::Bench,
+            text: text.to_string(),
+        }
+    }
+
+    fn key(spec: &SubmitRequest, input: Option<&ShippedInput>) -> u64 {
+        cache_key(&library::standard_library(), spec, input)
+    }
+
+    /// `y = AND(a, NOT b)` and `y = AND(b, NOT a)`: one structure once
+    /// the ports are swapped, two functions of the ports as named.
     #[test]
-    fn renamed_netlists_share_a_key() {
-        let a = circuit(["a", "b"]);
-        let b = circuit(["x", "y"]);
-        assert_eq!(key_of(&a, 7, 0), key_of(&b, 7, 0));
-    }
-
-    #[test]
-    fn every_config_axis_moves_the_key() {
-        let nl = circuit(["a", "b"]);
-        let base = key_of(&nl, 7, 0);
-        assert_ne!(base, key_of(&nl, 8, 0), "seed");
-        assert_ne!(base, key_of(&nl, 7, 4), "partitions");
-        let lib = library::standard_library();
-        let other_verify = cache_key(
-            &lib,
-            &nl,
-            false,
-            7,
-            Some(64),
-            VerifyPolicy::Off,
-            &[EngineId::Gdo],
-            0,
-        )
-        .unwrap();
-        assert_ne!(base, other_verify, "verify policy");
-        let other_engines = cache_key(
-            &lib,
-            &nl,
-            false,
-            7,
-            Some(64),
-            VerifyPolicy::Final,
-            &[EngineId::Gdo, EngineId::Resub],
-            0,
-        )
-        .unwrap();
-        assert_ne!(base, other_engines, "engine pipeline");
-        let premapped = cache_key(
-            &lib,
-            &nl,
-            true,
-            7,
-            Some(64),
-            VerifyPolicy::Final,
-            &[EngineId::Gdo],
-            0,
-        )
-        .unwrap();
-        assert_ne!(base, premapped, "mapped input flag");
-        let no_vectors = cache_key(
-            &lib,
-            &nl,
-            false,
-            7,
-            None,
-            VerifyPolicy::Final,
-            &[EngineId::Gdo],
-            0,
-        )
-        .unwrap();
-        assert_ne!(base, no_vectors, "vectors default vs explicit");
+    fn port_swapped_inputs_get_two_keys() {
+        let ab = bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(b)\ny = AND(a, n)\n");
+        let ba = bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(b, n)\n");
+        let spec = file("/jobs/x.bench");
+        assert_ne!(key(&spec, Some(&ab)), key(&spec, Some(&ba)));
     }
 
     #[test]
     fn structurally_different_netlists_differ() {
-        let a = circuit(["a", "b"]);
-        let mut b = Netlist::new("k");
-        let x = b.add_input("a");
-        let y = b.add_input("b");
-        let g = b.add_gate(GateKind::Or, &[x, y]).unwrap();
-        let h = b.add_gate(GateKind::Not, &[g]).unwrap();
-        b.add_output("y", h);
-        assert_ne!(key_of(&a, 7, 0), key_of(&b, 7, 0));
+        let and = bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
+        let or = bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n");
+        let spec = file("/jobs/x.bench");
+        assert_ne!(key(&spec, Some(&and)), key(&spec, Some(&or)));
+    }
+
+    #[test]
+    fn equal_text_under_another_path_shares_a_key() {
+        let text = bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
+        assert_eq!(
+            key(&file("/jobs/a.bench"), Some(&text)),
+            key(&file("/elsewhere/b.bench"), Some(&text))
+        );
+    }
+
+    #[test]
+    fn the_input_format_is_part_of_the_key() {
+        let text = ".model m\n.inputs a\n.outputs y\n.names a y\n0 1\n.end\n";
+        let as_blif = ShippedInput {
+            format: InputFormat::Blif,
+            text: text.to_string(),
+        };
+        let blif_job = file("/jobs/m.blif");
+        assert_ne!(
+            key(&blif_job, Some(&as_blif)),
+            key(&blif_job, Some(&bench(text)))
+        );
+        // A suite job is keyed by its name, never by a file of that text.
+        let suite = spec(r#""circuit":"Z5xp1","seed":7"#);
+        assert_ne!(key(&suite, None), key(&suite, Some(&bench("Z5xp1"))));
+    }
+
+    #[test]
+    fn every_config_axis_moves_the_key() {
+        let base_fields =
+            r#""circuit":"Z5xp1","seed":7,"vectors":64,"verify":"final","engines":"gdo""#;
+        let base = key(&spec(base_fields), None);
+        assert_eq!(base, key(&spec(base_fields), None), "deterministic");
+        assert_eq!(
+            base,
+            key(&spec(&format!(r#"{base_fields},"partitions":0"#)), None),
+            "partitions 0 is the whole-netlist run"
+        );
+        for (axis, fields) in [
+            ("circuit", base_fields.replace("Z5xp1", "9sym")),
+            ("seed", base_fields.replace("\"seed\":7", "\"seed\":8")),
+            ("partitions", format!(r#"{base_fields},"partitions":4"#)),
+            ("verify policy", base_fields.replace("final", "off")),
+            (
+                "engine pipeline",
+                base_fields.replace("\"gdo\"", "\"gdo,resub\""),
+            ),
+            (
+                "vectors default vs explicit",
+                base_fields.replace(r#""vectors":64,"#, ""),
+            ),
+        ] {
+            assert_ne!(base, key(&spec(&fields), None), "{axis}");
+        }
+    }
+
+    #[test]
+    fn budgets_and_presentation_do_not_move_the_key() {
+        let base_fields = r#""circuit":"Z5xp1","seed":7"#;
+        let base = key(&spec(base_fields), None);
+        let dressed = spec(&format!(
+            r#"{base_fields},"id":"other","deadline_ms":5,"work_limit":9,"priority":"high","netlist":true,"progress":true"#
+        ));
+        assert_eq!(base, key(&dressed, None));
     }
 }

@@ -1,11 +1,11 @@
 //! The GDO serving stack: one gateway, two deployment shapes.
 //!
 //! - The **gateway** ([`gateway::Gateway`]) owns admission, the
-//!   priority queue, the durable job journal, the structural-hash
-//!   result cache ([`cache`], keyed by [`key`]), load shedding
-//!   ([`shed`]), the one job supervisor (requeue on worker loss, retry
-//!   then `poisoned` on worker panics) and the operator HTTP endpoint
-//!   ([`http`]). It runs no optimization itself.
+//!   priority queue, the durable job journal, the result cache
+//!   ([`cache`], keyed on each job's exact input and config by [`key`]),
+//!   load shedding ([`shed`]), the one job supervisor (requeue on worker
+//!   loss, retry then `poisoned` on worker panics) and the operator HTTP
+//!   endpoint ([`http`]). It runs no optimization itself.
 //! - **Workers** ([`worker`]) register with their library digest and
 //!   pull jobs. Each runs jobs through [`serve::job::run_job`], so
 //!   results are byte-identical regardless of which worker ran them.

@@ -26,7 +26,7 @@ use crate::link::{lock, output_from, send_line, Output};
 use gdo::Budget;
 use library::Library;
 use proto::{GatewayMsg, SubmitRequest, WorkerMsg, WorkerResult};
-use serve::job::{run_job, JobOutcome, JobSpec};
+use serve::job::{run_job, JobOutcome};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -185,8 +185,11 @@ fn serve_link(reader: impl BufRead, out: Output, opts: &WorkerOptions) -> Result
                 }
                 // The budget, and with it the cancel handle, exists before
                 // the next line is read: a `cancel` right behind the assign
-                // finds the job.
-                let budget = job_budget(&spec);
+                // finds the job. It holds the submit's own limits; a
+                // resumed run works under the snapshot's remainders on a
+                // view of it (`run_job`).
+                let deadline = spec.deadline_ms.map(Duration::from_millis);
+                let budget = Budget::new(deadline, spec.work_limit);
                 let id = spec.id.clone().unwrap_or_default();
                 lock(&cancels).insert(id.clone(), budget.cancel_handle());
                 let out = Arc::clone(&out);
@@ -194,7 +197,7 @@ fn serve_link(reader: impl BufRead, out: Output, opts: &WorkerOptions) -> Result
                 let lib = opts.library.clone();
                 let fault_inject = opts.fault_inject;
                 jobs.push(std::thread::spawn(move || {
-                    run_assignment(&lib, *spec, input, &budget, &out, fault_inject);
+                    run_assignment(&lib, &spec, input, &budget, &out, fault_inject);
                     lock(&cancels).remove(&id);
                     send_line(&out, &WorkerMsg::Pull.to_json());
                 }));
@@ -234,41 +237,25 @@ fn reap_finished(threads: &mut Vec<JoinHandle<()>>) -> usize {
 /// line.
 fn run_assignment(
     lib: &Library,
-    wire: SubmitRequest,
+    spec: &SubmitRequest,
     input: Option<proto::ShippedInput>,
     budget: &Budget,
     out: &Output,
     fault_inject: bool,
 ) {
-    let id = wire.id.clone().unwrap_or_default();
-    let want_progress = wire.want_progress;
-    let panic_attempts = wire.panic_attempts.unwrap_or(0);
-    let spec = match materialize(wire) {
-        Ok(spec) => spec,
-        Err(error) => {
-            send_line(
-                out,
-                &WorkerMsg::Result {
-                    id,
-                    result: WorkerResult::Failed { error },
-                }
-                .to_json(),
-            );
-            return;
-        }
-    };
-
+    let id = spec.id.clone().unwrap_or_default();
     let run = std::thread::scope(|scope| {
         let (stop, stopped) = mpsc::channel::<()>();
-        if want_progress {
-            let (id, partitioned) = (&id, spec.partitions > 0);
+        if spec.want_progress {
+            let (id, partitioned) = (&id, spec.partitions.unwrap_or(0) > 0);
             scope.spawn(move || stream_progress(id, partitioned, budget, out, &stopped));
         }
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let panic_attempts = spec.panic_attempts.unwrap_or(0);
             if fault_inject && panic_attempts > 0 {
                 panic!("fault-inject: injected worker panic ({panic_attempts} to go)");
             }
-            run_job(lib, &spec, input.as_ref(), budget)
+            run_job(lib, spec, input.as_ref(), budget)
         }));
         // The ticker sends its last delta and returns; the scope joins it
         // before the `result` line below is written.
@@ -292,41 +279,6 @@ fn run_assignment(
         },
     };
     send_line(out, &WorkerMsg::Result { id, result }.to_json());
-}
-
-/// Turns the wire spec into a runnable [`JobSpec`]. A shipped netlist
-/// travels beside it to [`run_job`], which parses the text in memory, so
-/// the worker needs no shared filesystem with the client.
-fn materialize(wire: SubmitRequest) -> Result<JobSpec, String> {
-    let id = wire
-        .id
-        .clone()
-        .ok_or_else(|| "assigned spec carries no id".to_string())?;
-    let engines = match &wire.engines {
-        None => vec![gdo::EngineId::Gdo],
-        Some(list) => gdo::EngineId::parse_list(list).map_err(|e| e.to_string())?,
-    };
-    Ok(JobSpec {
-        id,
-        source: wire.source,
-        seed: wire.seed.unwrap_or(1995),
-        vectors: wire.vectors,
-        verify: wire.verify.unwrap_or(gdo::VerifyPolicy::Final),
-        engines,
-        partitions: wire.partitions.unwrap_or(0),
-        checkpoint: wire.checkpoint,
-        resume: wire.resume,
-    })
-}
-
-/// The job's budget: remainders from a resumed snapshot take precedence
-/// over the spec's own deadline/work limit — a requeued or recovered
-/// job does not get its budget refreshed.
-fn job_budget(spec: &SubmitRequest) -> Budget {
-    let left = spec.resume.as_deref().map(gdo::snapshot::peek_remainders);
-    let (time_ms, work) = left.and_then(Result::ok).unwrap_or_default();
-    let deadline = time_ms.or(spec.deadline_ms).map(Duration::from_millis);
-    Budget::new(deadline, work.or(spec.work_limit))
 }
 
 /// Streams a running job's progress: every [`PROGRESS_TICK`], and once

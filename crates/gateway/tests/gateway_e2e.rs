@@ -1,10 +1,10 @@
 //! End-to-end tests of the gateway/worker stack over loopback TCP: the
-//! duplicate batch answered from the structural result cache with
-//! byte-identical reports, cache misses on every config axis, cache
-//! persistence across a gateway restart, worker death mid-job with
-//! requeue to a survivor, panic retry and poisoning, load shedding,
-//! registration checks, and byte-identity between `gdo-served`'s
-//! pipe-linked workers and TCP ones.
+//! duplicate batch answered from the result cache with byte-identical
+//! reports, cache misses on every config axis, cache persistence across
+//! a gateway restart, worker death mid-job with requeue to a survivor,
+//! panic retry and poisoning, load shedding, registration checks, and
+//! byte-identity between `gdo-served`'s pipe-linked workers and TCP
+//! ones.
 
 mod common;
 
@@ -567,10 +567,13 @@ fn concurrent_jobs_stream_only_their_own_work() {
     let mut client = Client::connect(client_addr);
     // (id, circuit, partitions)
     let jobs = [("wide", "C880", 4), ("small", "Z5xp1", 0)];
+    let submit = |id: &str, circuit: &str, partitions: usize| {
+        format!(
+            "{{\"op\":\"submit\",\"id\":\"{id}\",\"circuit\":\"{circuit}\",\"seed\":1995,\"verify\":\"off\",\"partitions\":{partitions},\"progress\":true}}"
+        )
+    };
     for (id, circuit, partitions) in jobs {
-        client.send(&format!(
-            "{{\"op\":\"submit\",\"id\":\"{id}\",\"circuit\":\"{circuit}\",\"verify\":\"off\",\"partitions\":{partitions},\"progress\":true}}"
-        ));
+        client.send(&submit(id, circuit, partitions));
     }
     let lines = client.recv_until_terminals(2);
     client.send("{\"op\":\"drain\"}");
@@ -615,23 +618,12 @@ fn concurrent_jobs_stream_only_their_own_work() {
             }
         }
         let alone = gdo::Budget::unlimited();
-        serve::job::run_job(
-            &lib,
-            &serve::JobSpec {
-                id: id.to_string(),
-                source: proto::JobSource::Suite(circuit.to_string()),
-                seed: 1995,
-                vectors: None,
-                verify: gdo::VerifyPolicy::Off,
-                engines: vec![gdo::EngineId::Gdo],
-                partitions,
-                checkpoint: None,
-                resume: None,
-            },
-            None,
-            &alone,
-        )
-        .unwrap();
+        let proto::Request::Submit(spec) =
+            proto::parse_request(&submit(id, circuit, partitions)).unwrap()
+        else {
+            panic!("{id}: not a submit");
+        };
+        serve::job::run_job(&lib, &spec, None, &alone).unwrap();
         assert!(alone.work_done() > 0, "{id} charges work");
         assert_eq!(
             streamed,

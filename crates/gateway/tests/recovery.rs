@@ -262,31 +262,31 @@ fn recovery_rejects_corrupt_snapshots_and_reruns_from_journal() {
         let _ = run_batch(journal_cfg(&dir), &[]);
         let recovered = std::fs::read_to_string(dir.join("recovered.ndjson")).unwrap();
         let rec_lines: Vec<String> = recovered.lines().map(str::to_string).collect();
-        // An intact snapshot still lends the job its remaining budget:
-        // the worker reads the remainders before the run can tell whose
-        // snapshot it is, so the rerun gets the 9sym leg's leftover work
-        // and ends degraded.
-        let terminal = if tag == "mismatched" {
-            "degraded"
-        } else {
-            "done"
-        };
-        let done = event_for(&rec_lines, terminal, "job-1")
+        let done = event_for(&rec_lines, "done", "job-1")
             .unwrap_or_else(|| panic!("{tag}: job must finish from scratch: {rec_lines:#?}"));
         assert!(
             done.contains("resume_rejected"),
             "{tag}: report must note the rejected snapshot: {done}"
         );
-        let rejected = proto::json::parse(done)
-            .unwrap()
-            .get("report")
-            .and_then(|r| r.get("counters"))
-            .and_then(|c| c.get("snapshot.rejected"))
-            .and_then(|n| n.as_u64());
+        let counter = |name: &str| {
+            proto::json::parse(done)
+                .unwrap()
+                .get("report")
+                .and_then(|r| r.get("counters"))
+                .and_then(|c| c.get(name))
+                .and_then(|n| n.as_u64())
+        };
         assert_eq!(
-            rejected,
+            counter("snapshot.rejected"),
             Some(1),
             "{tag}: report must count the rejected snapshot: {done}"
+        );
+        // The rerun works under the submit's own (unlimited) budget, not
+        // under the remainders of the snapshot it rejected.
+        assert_eq!(
+            counter("budget.exhausted"),
+            Some(0),
+            "{tag}: the rerun must not inherit the snapshot's budget: {done}"
         );
         let replay = wal::replay(&dir).unwrap();
         assert!(replay.unfinished.is_empty(), "{tag}");

@@ -336,31 +336,21 @@ fn file_job_report_matches_run_job_on_the_same_file() {
     let suite = workloads::lookup_circuit("Z5xp1").unwrap().build();
     std::fs::write(&path, formats::write_bench(&suite).unwrap()).unwrap();
 
-    let out = run_batch(
-        served(),
-        1,
-        &format!(
-            r#"{{"op":"submit","id":"file-job","file":"{}","vectors":64,"verify":"off"}}"#,
-            path.display()
-        ),
+    let submit = format!(
+        r#"{{"op":"submit","id":"file-job","file":"{}","seed":1995,"vectors":64,"verify":"off"}}"#,
+        path.display()
     );
+    let out = run_batch(served(), 1, &submit);
     let done = out
         .lines()
         .find(|l| event_kind(l) == "done")
         .unwrap_or_else(|| panic!("no done event: {out}"));
+    let proto::Request::Submit(spec) = proto::parse_request(&submit).unwrap() else {
+        panic!("not a submit: {submit}");
+    };
     let direct = serve::job::run_job(
         &library::standard_library(),
-        &serve::JobSpec {
-            id: "direct".to_string(),
-            source: proto::JobSource::File(path),
-            seed: 1995,
-            vectors: Some(64),
-            verify: gdo::VerifyPolicy::Off,
-            engines: vec![gdo::EngineId::Gdo],
-            partitions: 0,
-            checkpoint: None,
-            resume: None,
-        },
+        &spec,
         None,
         &gdo::Budget::unlimited(),
     )
@@ -622,4 +612,63 @@ fn drain_closes_idle_client_connections() {
         "the idle client must read EOF, got {line:?}"
     );
     common::join(workers);
+}
+
+/// `y = AND(a, NOT b)` and `y = AND(b, NOT a)` share one structure once
+/// their ports are swapped, but compute different functions of the
+/// ports as named. Submitted one after the other, the second must run on
+/// its own input, not replay the first's netlist from the cache; the
+/// same text again under another path is answered from the cache.
+#[test]
+fn port_swapped_files_miss_the_cache_and_exact_repeats_hit() {
+    let dir = std::env::temp_dir().join(format!("gdo_service_swap_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let ab = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(b)\ny = AND(a, n)\n";
+    let ba = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = AND(b, n)\n";
+    let jobs = [("ab", ab), ("ba", ba), ("ab-again", ab)];
+    let addr = start(served(), 1);
+    let mut client = Client::connect(addr);
+    let mut terminals = Vec::new();
+    for (id, text) in jobs {
+        let path = dir.join(format!("{id}.bench"));
+        std::fs::write(&path, text).unwrap();
+        client.send(&format!(
+            r#"{{"op":"submit","id":"{id}","file":"{}","vectors":64,"verify":"off","netlist":true}}"#,
+            path.display()
+        ));
+        // Wait for this job's terminal, so the next one is admitted with
+        // this result already in the cache.
+        let lines = client.recv_until_terminals(1);
+        terminals.push(lines.last().unwrap().clone());
+    }
+    client.send(r#"{"op":"drain"}"#);
+    client.recv_until_drained();
+
+    let lib = library::standard_library();
+    for ((id, text), line) in jobs.iter().zip(&terminals) {
+        assert_eq!(event_kind(line), "done", "{id}: {line}");
+        let event = proto::json::parse(line).unwrap();
+        let cached = event.get("cached").and_then(|c| c.as_bool()) == Some(true);
+        assert_eq!(cached, *id == "ab-again", "{id}: {line}");
+        let blif = event.get("blif").and_then(|b| b.as_str()).unwrap();
+        let input = formats::parse_bench(text).unwrap();
+        let output = library::parse_mapped_blif(&lib, blif).unwrap();
+        let names = |nl: &netlist::Netlist| -> Vec<String> {
+            nl.inputs()
+                .iter()
+                .map(|&s| nl.cell(s).name().unwrap_or("").to_string())
+                .collect()
+        };
+        assert_eq!(names(&input), names(&output), "{id}: port names and order");
+        for v in 0..4u32 {
+            let bits = [v & 1 == 1, v & 2 == 2];
+            assert_eq!(
+                input.eval_outputs(&bits).unwrap(),
+                output.eval_outputs(&bits).unwrap(),
+                "{id}: the returned netlist must compute its own input's function at {bits:?}\n{blif}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -89,10 +89,12 @@ impl CancelHandle {
 pub struct Budget {
     deadline: Option<Instant>,
     work_limit: Option<u64>,
-    work_done: AtomicU64,
+    /// Shared with every [`relimited`](Budget::relimited) view, as are
+    /// `cancel` and `phase`.
+    work_done: Arc<AtomicU64>,
     cancel: Arc<AtomicBool>,
     externally_cancelled: AtomicBool,
-    phase: AtomicU8,
+    phase: Arc<AtomicU8>,
     tripped_phase: AtomicU8,
 }
 
@@ -116,10 +118,29 @@ impl Budget {
         Budget {
             deadline: deadline.map(|d| Instant::now() + d),
             work_limit,
-            work_done: AtomicU64::new(0),
+            work_done: Arc::new(AtomicU64::new(0)),
             cancel: Arc::new(AtomicBool::new(false)),
             externally_cancelled: AtomicBool::new(false),
-            phase: AtomicU8::new(Phase::Setup as u8),
+            phase: Arc::new(AtomicU8::new(Phase::Setup as u8)),
+            tripped_phase: AtomicU8::new(0),
+        }
+    }
+
+    /// A view of this budget with limits of its own — `deadline` from
+    /// now, `work_limit` units beyond the work charged so far — that
+    /// shares its cancel flag, work tally and phase: a [`CancelHandle`]
+    /// taken from either stops both, and [`work_done`](Self::work_done)
+    /// and [`phase`](Self::phase) read the same on both. A view that
+    /// trips raises the shared flag, so `self` counts as spent too.
+    #[must_use]
+    pub fn relimited(&self, deadline: Option<Duration>, work_limit: Option<u64>) -> Budget {
+        Budget {
+            deadline: deadline.map(|d| Instant::now() + d),
+            work_limit: work_limit.map(|w| self.work_done().saturating_add(w)),
+            work_done: Arc::clone(&self.work_done),
+            cancel: Arc::clone(&self.cancel),
+            externally_cancelled: AtomicBool::new(false),
+            phase: Arc::clone(&self.phase),
             tripped_phase: AtomicU8::new(0),
         }
     }
@@ -341,6 +362,26 @@ mod tests {
         assert!(!flag.load(Ordering::Acquire));
         assert!(b.is_exhausted());
         assert!(flag.load(Ordering::Acquire), "exhaustion must latch");
+    }
+
+    #[test]
+    fn a_relimited_view_shares_cancel_work_and_phase() {
+        let job = Budget::new(None, Some(100));
+        job.charge(5);
+        let view = job.relimited(None, Some(3));
+        assert_eq!(view.remaining_work(), Some(3), "counts from the work done");
+        view.charge(2);
+        view.enter_phase(Phase::Area);
+        assert_eq!((job.work_done(), job.phase()), (7, Phase::Area));
+        assert!(!view.is_exhausted());
+        job.cancel_handle().cancel();
+        assert!(view.is_exhausted());
+        assert!(view.was_cancelled_externally());
+
+        let view = Budget::unlimited().relimited(None, Some(1));
+        view.charge(1);
+        assert!(view.is_exhausted());
+        assert!(!view.was_cancelled_externally());
     }
 
     #[test]

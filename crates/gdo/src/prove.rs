@@ -48,11 +48,11 @@ pub enum ProverKind {
 /// reach into the SAT search so an in-flight query gives up at its next
 /// conflict. A proof abandoned for budget reasons counts as *not proven*
 /// (never cached as refuted by the optimizer) and bumps the
-/// `prove.budget_refuted` counter. The BDD path is bounded by its own
-/// node limit; the budget is checked before the (bounded) BDD build. The
-/// SAT miter of [`ProverKind::SatEquiv`] and of the BDD fallback runs
-/// within `conflict_budget` and honours the interrupt and deadline like
-/// every other SAT query.
+/// `prove.budget_refuted` counter. The BDD build of
+/// [`ProverKind::BddEquiv`] is bounded by its node limit and stops on the
+/// same interrupt and deadline. The SAT miter of [`ProverKind::SatEquiv`]
+/// and of the BDD fallback runs within `conflict_budget` and honours the
+/// interrupt and deadline like every other SAT query.
 ///
 /// With a counterexample `pool`, the rewrite is first replayed against
 /// the pool's earlier SAT witnesses ([`CexPool::refutes`]); a witness
@@ -128,10 +128,22 @@ pub fn prove_rewrite(
             let mut modified = nl.clone();
             transform::apply_rewrite(&mut modified, lib, rw, true)?;
             if let ProverKind::BddEquiv { node_limit } = prover {
-                match bdd::check_equiv_stats(nl, &modified, node_limit) {
+                let mut mgr = bdd::BddManager::with_node_limit(node_limit);
+                if let Some(b) = budget {
+                    mgr.set_interrupt(b.interrupt_flag());
+                    if let Some(deadline) = b.deadline() {
+                        mgr.set_deadline(deadline);
+                    }
+                }
+                match bdd::check_equiv_stats(nl, &modified, mgr) {
                     Ok((eq, bdd_stats)) => {
                         record_bdd_stats(bdd_stats);
                         return Ok(eq);
+                    }
+                    // Stopped by the run budget: not proven.
+                    Err(bdd::CircuitBddError::Bdd(bdd::BddError::Interrupted)) => {
+                        telemetry::counter_add("prove.budget_refuted", 1);
+                        return Ok(false);
                     }
                     // Node budget exhausted: fall back to SAT, as the
                     // paper prescribes for large circuits.
@@ -199,6 +211,7 @@ mod tests {
     use crate::{Gate3, GdoConfig, RewriteKind, SigLit, Site};
     use library::standard_library;
     use netlist::{GateKind, SignalId};
+    use std::time::{Duration, Instant};
 
     /// y = OR(a, AND(a, b)) — absorption makes AND(a,b) substitutable in
     /// several ways.
@@ -369,6 +382,33 @@ mod tests {
         assert!(
             !prove_within(1),
             "an unfinished miter search must count as not proven"
+        );
+    }
+
+    #[test]
+    fn bdd_proofs_stop_on_the_run_budget() {
+        // The BDDs of a 16×16 multiplier outgrow the node limit only after
+        // millions of nodes; a run budget must stop the build long before.
+        let lib = standard_library();
+        let nl = workloads::array_multiplier(16);
+        let last = nl.outputs().last().unwrap().driver();
+        let rw = Rewrite {
+            site: Site::Stem(last),
+            kind: RewriteKind::SubConst { value: false },
+        };
+        let prover = ProverKind::BddEquiv {
+            node_limit: 1 << 22,
+        };
+        let conflicts = GdoConfig::default().conflict_budget;
+        let budget = Budget::new(Some(Duration::from_millis(50)), None);
+        let start = Instant::now();
+        let proven = prove_rewrite(&nl, &lib, &rw, prover, conflicts, Some(&budget), None).unwrap();
+        let took = start.elapsed();
+        assert!(!proven, "a check the budget stopped is not a proof");
+        assert!(budget.is_exhausted());
+        assert!(
+            took < Duration::from_secs(2),
+            "the BDD build ignored the deadline: {took:?}"
         );
     }
 

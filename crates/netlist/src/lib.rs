@@ -42,7 +42,6 @@
 mod bitset;
 mod cell;
 mod delta;
-mod digest;
 mod edit;
 mod error;
 mod eval;

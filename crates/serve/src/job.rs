@@ -1,12 +1,11 @@
-//! Job specification and execution: what one optimization is, and how
-//! a worker runs it (load → map → optimize under a [`Budget`]
-//! → per-job [`RunReport`]).
+//! Job execution: how a worker runs one submitted optimization (load →
+//! map → optimize under a [`Budget`] → per-job [`RunReport`]).
 
-use gdo::{Budget, EngineId, GdoConfig, GdoStats, VerifyPolicy};
+use gdo::{Budget, EngineId, GdoConfig, GdoStats};
 use library::{Library, MapGoal, Mapper};
 use netlist::Netlist;
-use proto::{verify_name, InputFormat, ShippedInput};
-use std::path::PathBuf;
+use proto::{verify_name, InputFormat, ShippedInput, SubmitRequest};
+use std::time::Duration;
 use telemetry::RunReport;
 
 // `JobSource` lives in the shared protocol crate (it is named on the
@@ -16,40 +15,6 @@ pub use proto::JobSource;
 /// Snapshot cadence of checkpointed jobs, in optimizer round
 /// boundaries. A job whose budget trips writes a final snapshot as well.
 pub const CHECKPOINT_EVERY: usize = 4;
-
-/// One fully-specified job, defaults applied — what a worker runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
-    /// Unique job id (client-chosen or gateway-assigned `job-N`).
-    pub id: String,
-    /// What to optimize.
-    pub source: JobSource,
-    /// BPFS seed. Per-job: two jobs with the same spec produce the same
-    /// vector streams and therefore byte-identical report funnels, no
-    /// matter which worker runs them.
-    pub seed: u64,
-    /// BPFS vectors per round (`None` = optimizer default).
-    pub vectors: Option<usize>,
-    /// Checkpointed verify-with-rollback policy.
-    pub verify: VerifyPolicy,
-    /// Engine pipeline run by the job, in order (validated at
-    /// admission).
-    pub engines: Vec<EngineId>,
-    /// Partitioned optimization: cluster into roughly this many regions
-    /// and optimize them region by region (`0` = whole-netlist run).
-    /// Region workers stay single-threaded — the workers are the
-    /// parallelism axis.
-    pub partitions: usize,
-    /// Snapshot path the run checkpoints to every [`CHECKPOINT_EVERY`]
-    /// rounds (client-chosen or the gateway's journal-managed
-    /// `<journal>/<id>.ckpt`).
-    pub checkpoint: Option<PathBuf>,
-    /// Snapshot path to resume from. A snapshot that is unreadable,
-    /// corrupt, or from a different spec/input is rejected cleanly
-    /// (counted in the report's `snapshot.rejected` counter, explained
-    /// in its `resume_rejected` meta) and the job runs from the start.
-    pub resume: Option<PathBuf>,
-}
 
 /// How a finished job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,28 +111,38 @@ fn validate(nl: Netlist, source: &JobSource) -> Result<Netlist, String> {
     }
 }
 
-/// Runs one job on a worker's library under `budget`: load (parsing the
-/// text the gateway shipped with a file job, `input`, in memory; without
-/// it through [`load_job_netlist`]), map (area goal, skipped for
-/// pre-mapped inputs), optimize through [`partition::run`], and assemble
-/// the per-job [`RunReport`]. A resume snapshot the run rejects is
-/// counted (`snapshot.rejected`, `resume_rejected` meta) and the job runs
-/// again from its input.
+/// Runs one submitted job on a worker's library: load (parsing the text
+/// the gateway shipped with a file job, `input`, in memory; without it
+/// through [`load_job_netlist`]), map (area goal, skipped for pre-mapped
+/// inputs), optimize through [`partition::run`], and assemble the
+/// per-job [`RunReport`].
 ///
-/// The submission's `deadline_ms`/`work_limit` are not part of the spec:
-/// the worker builds `budget` from them, so cancellation and budget
-/// accounting stay in one place.
+/// `spec` is the submit as the gateway assigns it, defaults resolved; a
+/// seed or verify policy it leaves unset takes the optimizer's default,
+/// an unset engine list runs GDO alone. `budget` is the job's own, built
+/// by the caller from the submit's `deadline_ms`/`work_limit`, so the
+/// caller holds its cancel handle and reads the work charged to it. A
+/// job that resumes from a snapshot runs under the snapshot's budget
+/// remainders, where it has them, on a [relimited](Budget::relimited)
+/// view of `budget`: a requeued or recovered job does not get its budget
+/// refreshed. A snapshot the run rejects is counted (`snapshot.rejected`,
+/// `resume_rejected` meta) and the job runs again from its input under
+/// `budget` itself.
 ///
 /// # Errors
 ///
-/// A display string (load/parse/map/optimizer failure) for the job's
-/// `failed` event.
+/// A display string (engine list, load/parse/map/optimizer failure) for
+/// the job's `failed` event.
 pub fn run_job(
     lib: &Library,
-    spec: &JobSpec,
+    spec: &SubmitRequest,
     input: Option<&ShippedInput>,
     budget: &Budget,
 ) -> Result<JobResult, String> {
+    let engines = match &spec.engines {
+        None => vec![EngineId::Gdo],
+        Some(list) => EngineId::parse_list(list).map_err(|e| e.to_string())?,
+    };
     let (source_nl, mapped_input) = match input {
         Some(shipped) => parse_job_input(lib, &spec.source, shipped)?,
         None => load_job_netlist(lib, &spec.source).map(|(nl, mapped, _)| (nl, mapped))?,
@@ -181,9 +156,13 @@ pub fn run_job(
             .map_err(|e| format!("mapping {} failed: {e}", source_nl.name()))?
     };
 
-    let mut cfg = GdoConfig::builder()
-        .seed(spec.seed)
-        .verify_policy(spec.verify);
+    let mut cfg = GdoConfig::builder();
+    if let Some(seed) = spec.seed {
+        cfg = cfg.seed(seed);
+    }
+    if let Some(verify) = spec.verify {
+        cfg = cfg.verify_policy(verify);
+    }
     if let Some(vectors) = spec.vectors {
         cfg = cfg.vectors(vectors);
     }
@@ -194,44 +173,56 @@ pub fn run_job(
 
     let circuit = nl.name().to_string();
     let mut report = RunReport::default();
-    report.meta.insert("job".into(), spec.id.clone());
-    report.meta.insert("circuit".into(), circuit.clone());
-    report.meta.insert("seed".into(), spec.seed.to_string());
+    let meta = [
+        ("job", spec.id.clone().unwrap_or_default()),
+        ("circuit", circuit.clone()),
+        ("seed", cfg.seed.to_string()),
+        ("verify", verify_name(cfg.verify_policy)),
+        ("engines", EngineId::render_list(&engines)),
+    ];
     report
         .meta
-        .insert("verify".into(), verify_name(spec.verify));
-    report
-        .meta
-        .insert("engines".into(), EngineId::render_list(&spec.engines));
+        .extend(meta.map(|(key, value)| (key.to_string(), value)));
     // Partitioned jobs run their regions on one thread, so a partitioned
     // job costs one worker slot like any other.
-    let cluster = partition::ClusterConfig::for_partitions(nl.stats().gates, spec.partitions);
+    let partitions = spec.partitions.unwrap_or(0);
+    let cluster = partition::ClusterConfig::for_partitions(nl.stats().gates, partitions);
     let mut plan = partition::RunPlan {
         cfg,
-        engines: spec.engines.clone(),
-        regions: (spec.partitions > 0).then_some((cluster, 1)),
+        engines,
+        regions: (partitions > 0).then_some((cluster, 1)),
         checkpoint: spec
             .checkpoint
             .as_ref()
             .map(|p| gdo::CheckpointSpec::new(p.clone()).every(CHECKPOINT_EVERY)),
         resume: spec.resume.clone(),
     };
+    let resumed = spec.resume.as_deref().map(|path| {
+        let (time_ms, work) = gdo::snapshot::peek_remainders(path).unwrap_or_default();
+        budget.relimited(
+            time_ms
+                .map(Duration::from_millis)
+                .or_else(|| budget.remaining_time()),
+            work.or_else(|| budget.remaining_work()),
+        )
+    });
+    let mut ran_under = resumed.as_ref().unwrap_or(budget);
     // A rejected snapshot may leave its own netlist in `nl`, so the rerun
     // starts from a copy of the input.
     let input_copy = spec.resume.is_some().then(|| nl.clone());
-    let mut run = partition::run(lib, &plan, &mut nl, budget);
+    let mut run = partition::run(lib, &plan, &mut nl, ran_under);
     if let (Err(partition::RunError::Rejected { path, error }), Some(input)) = (&run, input_copy) {
         let why = format!("{}: {error}", path.display());
         report.counters.insert("snapshot.rejected".into(), 1);
         report.meta.insert("resume_rejected".into(), why);
-        (nl, plan.resume) = (input, None);
+        (nl, plan.resume, ran_under) = (input, None, budget);
         run = partition::run(lib, &plan, &mut nl, budget);
     }
     let run = run.map_err(|e| format!("optimizing {circuit} failed: {e}"))?;
     run.merge_into_report(&mut report);
     let stats = *run.gdo();
 
-    let outcome = if budget.was_cancelled_externally() {
+    let outcome = if ran_under.was_cancelled_externally() {
         JobOutcome::Cancelled
     } else if stats.budget_exhausted || stats.verify_rollbacks > 0 {
         JobOutcome::Degraded
@@ -253,17 +244,25 @@ pub fn run_job(
 mod tests {
     use super::*;
 
-    fn spec(source: JobSource) -> JobSpec {
-        JobSpec {
-            id: "t1".to_string(),
+    /// The assigned spec of a job `t1` on `source`: seed 1995, 64
+    /// vectors, verify off, GDO alone, no budget.
+    fn spec(source: JobSource) -> SubmitRequest {
+        SubmitRequest {
+            id: Some("t1".to_string()),
             source,
-            seed: 1995,
+            deadline_ms: None,
+            work_limit: None,
+            seed: Some(1995),
             vectors: Some(64),
-            verify: VerifyPolicy::Off,
-            engines: vec![EngineId::Gdo],
-            partitions: 0,
-            checkpoint: None,
+            verify: Some(gdo::VerifyPolicy::Off),
+            engines: Some("gdo".to_string()),
+            partitions: None,
+            priority: proto::Priority::Normal,
             resume: None,
+            checkpoint: None,
+            want_netlist: false,
+            want_progress: false,
+            panic_attempts: None,
         }
     }
 
@@ -285,7 +284,7 @@ mod tests {
     fn partitioned_job_reports_region_counters() {
         let lib = library::standard_library();
         let mut s = spec(JobSource::Suite("C880".to_string()));
-        s.partitions = 4;
+        s.partitions = Some(4);
         let result = run_job(&lib, &s, None, &Budget::unlimited()).unwrap();
         assert_eq!(result.outcome, JobOutcome::Done);
         let regions = result.report.counters["partition.regions"];
@@ -335,6 +334,33 @@ mod tests {
         assert_eq!(result.outcome, JobOutcome::Degraded);
         assert!(result.stats.budget_exhausted);
         assert_eq!(result.report.counters["budget.exhausted"], 1);
+    }
+
+    #[test]
+    fn a_resumed_job_keeps_the_snapshot_budget_and_a_rejected_one_its_own() {
+        let dir = std::env::temp_dir().join(format!("gdo_serve_resume_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("9sym.ckpt");
+        let lib = library::standard_library();
+        let mut leg = spec(JobSource::Suite("9sym".to_string()));
+        leg.checkpoint = Some(ckpt.clone());
+        let first = run_job(&lib, &leg, None, &Budget::new(None, Some(60))).unwrap();
+        assert_eq!(first.outcome, JobOutcome::Degraded);
+        // Resumed under a budget of its own, the job still has only the
+        // work its snapshot had left: none.
+        let mut resumed = spec(JobSource::Suite("9sym".to_string()));
+        resumed.resume = Some(ckpt.clone());
+        let second = run_job(&lib, &resumed, None, &Budget::unlimited()).unwrap();
+        assert_eq!(second.outcome, JobOutcome::Degraded);
+        assert!(!second.report.counters.contains_key("snapshot.rejected"));
+        // Another input rejects the snapshot and reruns under its own
+        // budget, not under the snapshot's remainders.
+        let mut other = spec(JobSource::Suite("Z5xp1".to_string()));
+        other.resume = Some(ckpt);
+        let third = run_job(&lib, &other, None, &Budget::unlimited()).unwrap();
+        assert_eq!(third.report.counters["snapshot.rejected"], 1);
+        assert_eq!(third.outcome, JobOutcome::Done);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

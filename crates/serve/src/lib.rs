@@ -4,8 +4,8 @@
 //! `gdo-served` / `gdo-gateway` binaries — lives in the `gateway`
 //! crate. This crate holds the parts it is built from:
 //!
-//! - [`job`] — job specs and single-job execution on a worker (load →
-//!   map → optimize under a [`gdo::Budget`] → per-job report).
+//! - [`job`] — single-job execution on a worker (load → map → optimize
+//!   under a [`gdo::Budget`] → per-job report).
 //! - [`queue`] — the bounded priority queue (admission control and
 //!   backpressure).
 //! - [`wal`] — the durable job journal behind restart recovery.
@@ -21,5 +21,5 @@ pub mod job;
 pub mod queue;
 pub mod wal;
 
-pub use job::{JobOutcome, JobResult, JobSource, JobSpec};
+pub use job::{JobOutcome, JobResult, JobSource};
 pub use queue::{Admission, JobQueue, Priority, PushError};
