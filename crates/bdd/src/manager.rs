@@ -294,107 +294,6 @@ impl BddManager {
         }
         cur == BddRef::TRUE
     }
-
-    /// The positive or negative cofactor of `f` with respect to variable
-    /// `var`: `f` with `var` fixed to `value`.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the node budget is exhausted.
-    pub fn restrict(&mut self, f: BddRef, var: u32, value: bool) -> Result<BddRef, BddError> {
-        if f.is_terminal() {
-            return Ok(f);
-        }
-        let n = self.nodes[f.0 as usize];
-        if n.var > var {
-            return Ok(f); // var does not appear in f
-        }
-        if n.var == var {
-            return Ok(if value { n.hi } else { n.lo });
-        }
-        let lo = self.restrict(n.lo, var, value)?;
-        let hi = self.restrict(n.hi, var, value)?;
-        self.mk(n.var, lo, hi)
-    }
-
-    /// Existential quantification: `∃ var. f = f|var=0 + f|var=1`.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the node budget is exhausted.
-    pub fn exists(&mut self, f: BddRef, var: u32) -> Result<BddRef, BddError> {
-        let lo = self.restrict(f, var, false)?;
-        let hi = self.restrict(f, var, true)?;
-        self.or(lo, hi)
-    }
-
-    /// Universal quantification: `∀ var. f = f|var=0 · f|var=1`.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the node budget is exhausted.
-    pub fn forall(&mut self, f: BddRef, var: u32) -> Result<BddRef, BddError> {
-        let lo = self.restrict(f, var, false)?;
-        let hi = self.restrict(f, var, true)?;
-        self.and(lo, hi)
-    }
-
-    /// The set of variable indices `f` actually depends on, ascending.
-    #[must_use]
-    pub fn support(&self, f: BddRef) -> Vec<u32> {
-        let mut seen = std::collections::HashSet::new();
-        let mut vars = std::collections::BTreeSet::new();
-        let mut stack = vec![f];
-        while let Some(r) = stack.pop() {
-            if r.is_terminal() || !seen.insert(r) {
-                continue;
-            }
-            let n = self.nodes[r.0 as usize];
-            vars.insert(n.var);
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        vars.into_iter().collect()
-    }
-
-    /// Functional composition: `f` with variable `var` replaced by the
-    /// function `g` — `f[var := g] = ite(g, f|var=1, f|var=0)`.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::NodeLimit`] when the node budget is exhausted.
-    pub fn compose(&mut self, f: BddRef, var: u32, g: BddRef) -> Result<BddRef, BddError> {
-        let hi = self.restrict(f, var, true)?;
-        let lo = self.restrict(f, var, false)?;
-        self.ite(g, hi, lo)
-    }
-
-    /// Counts satisfying assignments of `f` over `n_vars` variables.
-    ///
-    /// Counts are exact up to `f64` precision (fine beyond 2⁵⁰), which
-    /// matches how the paper's NCP-style statistics tolerate saturation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` mentions a variable ≥ `n_vars`.
-    #[must_use]
-    pub fn sat_count(&self, f: BddRef, n_vars: u32) -> f64 {
-        fn count(mgr: &BddManager, f: BddRef, level: u32, n_vars: u32) -> f64 {
-            if f == BddRef::FALSE {
-                return 0.0;
-            }
-            if f == BddRef::TRUE {
-                return 2f64.powi((n_vars - level) as i32);
-            }
-            let n = mgr.nodes[f.0 as usize];
-            assert!(n.var < n_vars, "node variable out of range");
-            // Variables skipped between `level` and this node double the
-            // count per skipped variable; the node itself splits in two.
-            let skip = 2f64.powi((n.var - level) as i32);
-            skip * (count(mgr, n.lo, n.var + 1, n_vars) + count(mgr, n.hi, n.var + 1, n_vars))
-        }
-        count(self, f, 0, n_vars)
-    }
 }
 
 #[cfg(test)]
@@ -454,23 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn sat_count_examples() {
-        let mut mgr = BddManager::new();
-        let a = mgr.var(0).unwrap();
-        let b = mgr.var(1).unwrap();
-        assert_eq!(mgr.sat_count(BddRef::TRUE, 3), 8.0);
-        assert_eq!(mgr.sat_count(BddRef::FALSE, 3), 0.0);
-        assert_eq!(mgr.sat_count(a, 3), 4.0);
-        let ab = mgr.and(a, b).unwrap();
-        assert_eq!(mgr.sat_count(ab, 3), 2.0);
-        let x = mgr.xor(a, b).unwrap();
-        assert_eq!(mgr.sat_count(x, 2), 2.0);
-        // Skipped-level handling: var(2) alone out of 3 vars.
-        let c = mgr.var(2).unwrap();
-        assert_eq!(mgr.sat_count(c, 3), 4.0);
-    }
-
-    #[test]
     fn node_limit_enforced() {
         let mut mgr = BddManager::with_node_limit(8);
         // Parity of many variables forces a blow-past of 8 nodes.
@@ -495,46 +377,6 @@ mod tests {
             }
         }
         assert!(failed, "node limit never triggered");
-    }
-
-    #[test]
-    fn restrict_and_quantifiers() {
-        let mut mgr = BddManager::new();
-        let a = mgr.var(0).unwrap();
-        let b = mgr.var(1).unwrap();
-        let c = mgr.var(2).unwrap();
-        let ab = mgr.and(a, b).unwrap();
-        let f = mgr.or(ab, c).unwrap(); // f = ab + c
-                                        // f|a=1 = b + c; f|a=0 = c.
-        let f_a1 = mgr.restrict(f, 0, true).unwrap();
-        let bc = mgr.or(b, c).unwrap();
-        assert_eq!(f_a1, bc);
-        let f_a0 = mgr.restrict(f, 0, false).unwrap();
-        assert_eq!(f_a0, c);
-        // ∃a.f = (b+c) + c = b + c; ∀a.f = (b+c)·c = c.
-        assert_eq!(mgr.exists(f, 0).unwrap(), bc);
-        assert_eq!(mgr.forall(f, 0).unwrap(), c);
-        // Restricting an absent variable is the identity.
-        assert_eq!(mgr.restrict(f, 7, true).unwrap(), f);
-    }
-
-    #[test]
-    fn support_and_compose() {
-        let mut mgr = BddManager::new();
-        let a = mgr.var(0).unwrap();
-        let b = mgr.var(1).unwrap();
-        let c = mgr.var(2).unwrap();
-        let ab = mgr.and(a, b).unwrap();
-        let f = mgr.or(ab, c).unwrap();
-        assert_eq!(mgr.support(f), vec![0, 1, 2]);
-        assert_eq!(mgr.support(BddRef::TRUE), Vec::<u32>::new());
-        // f[c := a^b]: ab + (a^b) — support drops c.
-        let axb = mgr.xor(a, b).unwrap();
-        let g = mgr.compose(f, 2, axb).unwrap();
-        assert_eq!(mgr.support(g), vec![0, 1]);
-        // ab + a^b = a + b.
-        let a_or_b = mgr.or(a, b).unwrap();
-        assert_eq!(g, a_or_b);
     }
 
     #[test]

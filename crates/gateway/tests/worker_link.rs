@@ -24,6 +24,9 @@ impl Link {
         let worker =
             std::thread::spawn(move || gateway::run_worker(&addr, &WorkerOptions::default()));
         let (stream, _) = listener.accept().unwrap();
+        // As the real gateway's accept loop does: with Nagle on, a line
+        // sent right behind another waits for the worker's delayed ACK.
+        stream.set_nodelay(true).unwrap();
         let mut link = Link {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,

@@ -106,7 +106,7 @@ pub use site::{SigLit, Site};
 pub use snapshot::{CheckpointSpec, RunCursor, RunSnapshot, SnapshotError};
 #[cfg(feature = "fault-inject")]
 pub use transform::fault;
-pub use transform::{apply_rewrite, estimate_area_delta, estimate_arrival};
+pub use transform::{apply_rewrite, estimate_area_delta, estimate_arrival, exact_area_delta};
 
 /// The one-import surface for typical users: build an
 /// [`OptimizeRequest`], run it through a [`Pipeline`] (or call

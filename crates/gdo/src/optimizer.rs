@@ -15,7 +15,9 @@ use crate::pvcc::{
     and_or_triple_requests, const_candidates, site_arrival, site_ncp, site_required,
     sub2_candidates, sub3_candidates, xor_triple_requests, Pvcc, RankKey,
 };
-use crate::transform::{apply_rewrite, estimate_area_delta, estimate_arrival};
+use crate::transform::{
+    apply_rewrite, dead_cone_area, estimate_area_delta, estimate_arrival, exact_area_delta,
+};
 use crate::{GdoError, ProverKind, Rewrite, RewriteKind, Site};
 use library::Library;
 use netlist::{Branch, Netlist, SignalId};
@@ -650,38 +652,39 @@ fn area_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
     let cands = CandidateContext::build(nl)?;
     let baseline_delay = tg.circuit_delay();
 
-    let mut site_cands: Vec<(Site, Vec<SignalId>)> = Vec::new();
+    // Rank sites coarsely by prospective pruning gain, one dead-cone walk
+    // per gate, and keep the per-round site cap before enumerating any
+    // candidates.
+    let mut ranked: Vec<(f64, SignalId)> = nl
+        .gates()
+        .filter(|&g| nl.fanout_count(g) > 0)
+        .map(|g| (dead_cone_area(nl, lib, g), g))
+        .collect();
+    ranked.sort_by(|(gx, _), (gy, _)| gy.total_cmp(gx));
+    ranked.truncate(MAX_SITES_PER_ROUND);
     let mut c2_enumerated = 0u64;
     let mut c2_kept = 0u64;
-    for g in nl.gates() {
-        if nl.fanout_count(g) == 0 {
-            continue;
-        }
-        let site = Site::Stem(g);
-        // Non-critical gates only (the delay phase owns critical ones),
-        // but every gate is a redundancy-removal candidate.
-        let bs = if tg.is_critical(g) {
-            Vec::new()
-        } else {
-            let budget = site_required(site, tg) - tg.eps();
-            let (bs, counts) =
-                pair_candidates_counted(nl, tg, &cands, site, &cfg.candidates, budget);
-            c2_enumerated += counts.considered;
-            c2_kept += counts.kept;
-            bs
-        };
-        site_cands.push((site, bs));
-    }
+    let site_cands: Vec<(Site, Vec<SignalId>)> = ranked
+        .into_iter()
+        .map(|(_, g)| {
+            let site = Site::Stem(g);
+            // Non-critical gates only (the delay phase owns critical
+            // ones), but every gate is a redundancy-removal candidate.
+            let bs = if tg.is_critical(g) {
+                Vec::new()
+            } else {
+                let budget = site_required(site, tg) - tg.eps();
+                let (bs, counts) =
+                    pair_candidates_counted(nl, tg, &cands, site, &cfg.candidates, budget);
+                c2_enumerated += counts.considered;
+                c2_kept += counts.kept;
+                bs
+            };
+            (site, bs)
+        })
+        .collect();
     telemetry::counter_add("gdo.funnel.c2.enumerated", c2_enumerated);
     telemetry::counter_add("gdo.funnel.c2.filtered", c2_kept);
-    // Rank sites coarsely by prospective pruning gain to respect the
-    // per-round site cap.
-    site_cands.sort_by(|(sx, _), (sy, _)| {
-        let gx = crate::transform::dead_cone_area(nl, lib, sx.cone_root());
-        let gy = crate::transform::dead_cone_area(nl, lib, sy.cone_root());
-        gy.total_cmp(&gx)
-    });
-    site_cands.truncate(MAX_SITES_PER_ROUND);
     // Every surveyed site doubles as a C1 (constant-substitution)
     // candidate; there is no dedicated pre-filter for them.
     telemetry::counter_add("gdo.funnel.const.enumerated", site_cands.len() as u64);
@@ -744,18 +747,20 @@ fn area_round(ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
         if new_arrival > required + ctx.tg.eps() {
             continue;
         }
-        // Re-estimate the gain on the evolved netlist: earlier
-        // applications in this batch may have claimed the savings.
-        if estimate_area_delta(ctx.nl, lib, &rw, false) <= 1e-9 {
+        // The exact area change on the evolved netlist: earlier
+        // applications in this batch may have claimed the savings, and
+        // the signals the replacement reads often lie in the site's dead
+        // cone, so the ranking estimate over-counts. Only a rewrite that
+        // saves area is worth a proof.
+        if exact_area_delta(ctx.nl, lib, &rw, false) <= 1e-9 {
             continue;
         }
         let verdict = prove_and_apply(ctx, rw, Phase::Area, None, |ctx| {
-            // One backup per *accepted* candidate (bounded by the batch
-            // size) guards the estimates end to end: constant
-            // substitutions sweep and rebind downstream logic, which the
-            // estimators do not model. Rejected candidates never clone,
-            // and reverting restores the cloned graph instead of paying
-            // for a recompute.
+            // One backup per *proved* candidate guards the checks end to
+            // end: constant substitutions sweep and rebind downstream
+            // logic, which the area delta does not model. Unproved
+            // candidates never clone, and reverting restores the cloned
+            // graph instead of paying for a recompute.
             let backup = ctx.nl.clone();
             let backup_tg = ctx.tg.clone();
             apply_journaled(ctx, &rw, false)?;

@@ -45,10 +45,10 @@ use crate::budget::Phase;
 use crate::candidates::CandidateContext;
 use crate::engine::{netlists_equivalent, Engine, EngineId, OptimizeContext, RewriteClass};
 use crate::optimizer::MAX_SITES_PER_ROUND;
-use crate::transform::{pick, pick_or_err, realize_literal};
+use crate::transform::{dead_cone, pick, pick_or_err, realize_literal};
 use crate::GdoError;
 use library::Library;
-use netlist::{Fanout, GateKind, Netlist, SignalId, SignalSet};
+use netlist::{GateKind, Netlist, SignalId, SignalSet};
 use sim::{simulate, ObservabilityEngine, SimResult, VectorSet};
 
 /// Divisor pool size per target.
@@ -223,7 +223,7 @@ fn try_target(
     }
 
     let fanout_cone = snapshot.transitive_fanout(target);
-    let cone = dead_cone_set(snapshot, target);
+    let cone = dead_cone(snapshot, target, &[]);
     let divs = divisor_pool(ctx, snapshot, support, target, &fanout_cone, &cone);
     if divs.len() < MIN_DISTINCT_DIVISORS {
         return Ok(TargetOutcome::NoChange);
@@ -711,36 +711,8 @@ fn realize_cover(
     Ok(g)
 }
 
-/// The target's exclusive dead cone: gates all of whose fanout paths
-/// lead only into already-dead gates (same marking as
-/// [`crate::transform::dead_cone_area`], but returning the set).
-fn dead_cone_set(nl: &Netlist, stem: SignalId) -> SignalSet {
-    let mut dead = SignalSet::with_capacity(nl.capacity());
-    if nl.kind(stem).is_source() {
-        return dead;
-    }
-    dead.insert(stem);
-    let mut frontier = vec![stem];
-    while let Some(g) = frontier.pop() {
-        for &f in nl.fanins(g) {
-            if dead.contains(f) || nl.kind(f).is_source() {
-                continue;
-            }
-            let all_dead = nl.fanouts(f).iter().all(|fo| match *fo {
-                Fanout::Gate { cell, .. } => dead.contains(cell),
-                Fanout::Po(_) => false,
-            });
-            if all_dead {
-                dead.insert(f);
-                frontier.push(f);
-            }
-        }
-    }
-    dead
-}
-
 fn dead_cone_literals(nl: &Netlist, stem: SignalId) -> usize {
-    dead_cone_set(nl, stem)
+    dead_cone(nl, stem, &[])
         .iter()
         .map(|g| nl.fanins(g).len())
         .sum()
@@ -782,7 +754,7 @@ mod tests {
         let nl = redundant_majority();
         let y = nl.outputs()[0].driver();
         // The whole circuit below y is exclusive to y.
-        let cone = dead_cone_set(&nl, y);
+        let cone = dead_cone(&nl, y, &[]);
         assert!(cone.contains(y));
         assert!(dead_cone_literals(&nl, y) >= 10);
     }

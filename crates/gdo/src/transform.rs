@@ -1,12 +1,12 @@
 //! Realization of rewrites on the mapped netlist: inserting phase
 //! inverters and new gates (with library bindings), performing the
-//! substitution, pruning, and the arrival/area estimation used for
-//! ranking.
+//! substitution, pruning, the arrival/area estimation used for ranking,
+//! and the exact area change the area phase checks before a proof.
 
 use crate::{Gate3, GdoError, Rewrite, RewriteKind, Site};
 use library::{LibCellId, Library, LibraryError};
 use netlist::{Fanout, GateKind, Netlist, SignalId};
-use timing::TimingGraph;
+use timing::{DelayModel, LibDelay, TimingGraph};
 
 /// Picks the library cell for an inserted gate: fastest in the delay
 /// phase, smallest in the area phase.
@@ -198,20 +198,20 @@ fn cell_delay(lib: &Library, kind: GateKind, arity: usize, fast: bool, pin: usiz
     pick(lib, kind, arity, fast).map_or(1.0, |id| lib.cell(id).pin_delays()[pin])
 }
 
-/// Area of the cone that would die if `stem` lost all of its fanout:
-/// the paper's "gates exclusively necessary to compute `a`".
-#[must_use]
-pub fn dead_cone_area(nl: &Netlist, lib: &Library, stem: SignalId) -> f64 {
-    if nl.kind(stem).is_source() {
-        return 0.0;
-    }
-    // Iteratively mark gates all of whose fanouts are already dead.
+/// The gates that die if `stem` loses all of its fanout while every
+/// signal in `keep` stays in use: `stem` itself and, transitively, each
+/// fanin gate all of whose fanouts die. A kept signal never dies, so
+/// neither does the fanin it needs.
+pub(crate) fn dead_cone(nl: &Netlist, stem: SignalId, keep: &[SignalId]) -> netlist::SignalSet {
     let mut dead = netlist::SignalSet::with_capacity(nl.capacity());
+    if nl.kind(stem).is_source() || keep.contains(&stem) {
+        return dead;
+    }
     dead.insert(stem);
     let mut frontier = vec![stem];
     while let Some(g) = frontier.pop() {
         for &f in nl.fanins(g) {
-            if dead.contains(f) || nl.kind(f).is_source() {
+            if dead.contains(f) || nl.kind(f).is_source() || keep.contains(&f) {
                 continue;
             }
             let all_dead = nl.fanouts(f).iter().all(|fo| match *fo {
@@ -224,46 +224,95 @@ pub fn dead_cone_area(nl: &Netlist, lib: &Library, stem: SignalId) -> f64 {
             }
         }
     }
-    dead.iter()
+    dead
+}
+
+/// Area of the cone that would die if `stem` lost all of its fanout:
+/// the paper's "gates exclusively necessary to compute `a`". A gate
+/// without a library binding counts 1.
+#[must_use]
+pub fn dead_cone_area(nl: &Netlist, lib: &Library, stem: SignalId) -> f64 {
+    dead_cone(nl, stem, &[])
+        .iter()
         .map(|g| lib.binding(nl, g).map_or(1.0, library::LibCell::area))
         .sum()
 }
 
-/// Estimated area change of a rewrite: positive values mean area is
-/// *saved*. Accounts for the pruned cone minus inserted cells.
-#[must_use]
-pub fn estimate_area_delta(nl: &Netlist, lib: &Library, rw: &Rewrite, fast: bool) -> f64 {
+/// What realizing `rw`'s replacement costs, mirroring
+/// [`realize_replacement`]: the area of the cells it adds, and the
+/// existing signals it reads — a positive leg's signal, a reused
+/// inverter, or a new inverter's input — which stay in use.
+fn replacement_cost(nl: &Netlist, lib: &Library, rw: &Rewrite, fast: bool) -> (f64, Vec<SignalId>) {
     let root = rw.site.cone_root();
     let forbidden = nl.transitive_fanout(root);
     let cell_area = |kind: GateKind, arity: usize| -> f64 {
         pick(lib, kind, arity, fast).map_or(1.0, |id| lib.cell(id).area())
     };
-    let lit_cost = |s: SignalId, positive: bool| -> f64 {
-        if positive || existing_inverter(nl, s, &forbidden, root).is_some() {
-            0.0
+    let leg = |s: SignalId, positive: bool| -> (f64, SignalId) {
+        if positive {
+            (0.0, s)
+        } else if let Some(inv) = existing_inverter(nl, s, &forbidden, root) {
+            (0.0, inv)
         } else {
-            cell_area(GateKind::Not, 1)
+            (cell_area(GateKind::Not, 1), s)
         }
     };
-    let added = match rw.kind {
-        RewriteKind::Sub2 { b } => lit_cost(b.signal, b.positive),
-        RewriteKind::SubConst { .. } => 0.0,
+    match rw.kind {
+        RewriteKind::Sub2 { b } => {
+            let (added, read) = leg(b.signal, b.positive);
+            (added, vec![read])
+        }
+        RewriteKind::SubConst { .. } => (0.0, Vec::new()),
         RewriteKind::Sub3 { gate, b, c } => {
             let (kind, pb, pc) = gate3_plan(gate);
-            cell_area(kind, 2) + lit_cost(b, pb) + lit_cost(c, pc)
+            let ((added_b, read_b), (added_c, read_c)) = (leg(b, pb), leg(c, pc));
+            (cell_area(kind, 2) + added_b + added_c, vec![read_b, read_c])
         }
-    };
-    let saved = match rw.site {
-        Site::Stem(a) => dead_cone_area(nl, lib, a),
+    }
+}
+
+/// The stem whose cone a rewrite frees: the stem itself, or a branch's
+/// source when the branch is its only fanout.
+fn freed_stem(nl: &Netlist, site: Site) -> Option<SignalId> {
+    match site {
+        Site::Stem(a) => Some(a),
         Site::Branch(br) => {
             let src = nl.branch_source(br).expect("live branch");
-            if nl.fanout_count(src) == 1 {
-                dead_cone_area(nl, lib, src)
-            } else {
-                0.0
-            }
+            (nl.fanout_count(src) == 1).then_some(src)
         }
-    };
+    }
+}
+
+/// Estimated area change of a rewrite: positive values mean area is
+/// *saved*. Counts the site's whole dead cone as freed, minus inserted
+/// cells; the ranking key of the area phase.
+#[must_use]
+pub fn estimate_area_delta(nl: &Netlist, lib: &Library, rw: &Rewrite, fast: bool) -> f64 {
+    let (added, _) = replacement_cost(nl, lib, rw, fast);
+    let saved = freed_stem(nl, rw.site).map_or(0.0, |stem| dead_cone_area(nl, lib, stem));
+    saved - added
+}
+
+/// The area change [`apply_rewrite`] makes, as the [`LibDelay`] model
+/// counts it: positive values mean area is saved. Unlike
+/// [`estimate_area_delta`], the signals the replacement reads stay
+/// alive, so only the rest of the site's dead cone is freed, and a gate
+/// without a binding counts as the model counts it. Exact for `Sub2` and
+/// `Sub3`; for a constant substitution it is the estimate, since the
+/// sweep that follows is not modelled.
+#[must_use]
+pub fn exact_area_delta(nl: &Netlist, lib: &Library, rw: &Rewrite, fast: bool) -> f64 {
+    if matches!(rw.kind, RewriteKind::SubConst { .. }) {
+        return estimate_area_delta(nl, lib, rw, fast);
+    }
+    let (added, reads) = replacement_cost(nl, lib, rw, fast);
+    let model = LibDelay::new(lib);
+    let saved: f64 = freed_stem(nl, rw.site).map_or(0.0, |stem| {
+        dead_cone(nl, stem, &reads)
+            .iter()
+            .map(|g| model.area(nl, g))
+            .sum()
+    });
     saved - added
 }
 
@@ -318,7 +367,6 @@ mod tests {
     use super::*;
     use crate::SigLit;
     use library::standard_library;
-    use timing::LibDelay;
 
     fn mapped_sample() -> (Netlist, Library, [SignalId; 5]) {
         let lib = standard_library();

@@ -271,14 +271,10 @@ fn outputs_match_the_pre_pool_optimizer() {
         (
             "x3-smoke",
             workloads::random_logic(0x0333, 24, 16, 60),
-            (211, 189, 91, 0xcaa4_0925_0c25_031d),
+            (113, 91, 91, 0xcaa4_0925_0c25_031d),
         ),
-        (
-            "Z5xp1",
-            suite("Z5xp1"),
-            (106, 97, 85, 0x4d13_bd38_4136_3da7),
-        ),
-        ("C432", suite("C432"), (171, 161, 9, 0xb61c_78b5_5301_ba15)),
+        ("Z5xp1", suite("Z5xp1"), (94, 85, 85, 0x4d13_bd38_4136_3da7)),
+        ("C432", suite("C432"), (19, 9, 9, 0xb61c_78b5_5301_ba15)),
     ] {
         let got = pin(&lib, &nl);
         assert_eq!(
@@ -314,8 +310,8 @@ fn resub_outputs_match_the_full_width_engine() {
     let lib = standard_library();
     let suite = |name: &str| workloads::lookup_circuit(name).expect("exists").build();
     for (name, want) in [
-        ("C432", (4, 181, 165, 13, 0x91dd_8fe1_5dda_5e47)),
-        ("C880", (5, 223, 221, 40, 0x68d7_9c9c_69b4_14c0)),
+        ("C432", (4, 29, 13, 13, 0x91dd_8fe1_5dda_5e47)),
+        ("C880", (5, 42, 40, 40, 0x68d7_9c9c_69b4_14c0)),
     ] {
         let got = resub_pin(&lib, &suite(name));
         assert!(got.0 >= 1, "{name}: resub landed no rewrite");
